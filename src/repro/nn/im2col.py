@@ -20,6 +20,7 @@ __all__ = [
     "col2im",
     "im2col_indices",
     "im2col_flat_indices",
+    "reverse_im2col_indices",
 ]
 
 
@@ -98,6 +99,44 @@ def im2col_flat_indices(
     return (k * (hp * wp) + i * wp + j).reshape(-1)
 
 
+@lru_cache(maxsize=256)
+def reverse_im2col_indices(
+    channels: int, height: int, width: int, kernel_h: int, kernel_w: int,
+    stride: int, pad: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse im2col map for event-driven (scatter) convolution.
+
+    For every input pixel ``p = (c, y, x)`` (C-order flat index) and kernel
+    offset ``o = (dy, dx)``, an input event at ``p`` contributes
+    ``W[:, c, dy, dx]`` to one output position.  Returns two read-only
+    ``(C*H*W, KH*KW)`` int32 tables:
+
+    * ``krow[p, o]`` -- the im2col kernel row ``c*KH*KW + dy*KW + dx``;
+    * ``target[p, o]`` -- the flat output position ``oy*out_w + ox``, or the
+      sink slot ``out_h*out_w`` when the offset falls outside the output
+      (padding border, stride phase), so callers need no validity mask.
+    """
+    out_h = conv_output_size(height, kernel_h, stride, pad)
+    out_w = conv_output_size(width, kernel_w, stride, pad)
+    dy = np.repeat(np.arange(kernel_h, dtype=np.int64), kernel_w)
+    dx = np.tile(np.arange(kernel_w, dtype=np.int64), kernel_h)
+    ys = np.arange(height, dtype=np.int64)[:, None, None] + pad - dy
+    xs = np.arange(width, dtype=np.int64)[None, :, None] + pad - dx
+    oy, ry = np.divmod(ys, stride)
+    ox, rx = np.divmod(xs, stride)
+    valid = (ry == 0) & (rx == 0) & (oy >= 0) & (oy < out_h) & (ox >= 0) & (ox < out_w)
+    n_off = kernel_h * kernel_w
+    # One channel's (H*W, KH*KW) plane of targets, repeated per channel.
+    plane = np.where(valid, oy * out_w + ox, out_h * out_w).astype(np.int32)
+    target = np.tile(plane.reshape(height * width, n_off), (channels, 1))
+    krow = np.repeat(
+        np.arange(channels * n_off, dtype=np.int32).reshape(channels, n_off),
+        height * width,
+        axis=0,
+    )
+    krow.flags.writeable = False
+    target.flags.writeable = False
+    return krow, target
 
 
 def col2im(

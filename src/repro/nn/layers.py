@@ -303,7 +303,9 @@ class Conv2D(Layer):
         The gather uses ``mode="clip"`` — indices are in-bounds by
         construction, and skipping numpy's per-element bounds check makes
         the gather ~2.5x faster.  Bit-identical to :meth:`infer` — same
-        gathered values, same BLAS call.
+        gathered values, same BLAS call.  The sparse event kernel
+        (``repro.snn.events``) reuses this key's ``"big"`` and ``"gemm"``
+        buffers for its accumulator and drive.
         """
         n, c, h, w = x.shape
         kh, kw, stride, pad = self.kernel_h, self.kernel_w, self.stride, self.pad

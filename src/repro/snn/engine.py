@@ -265,14 +265,19 @@ class Simulator:
 
         ``pstage`` (a :class:`~repro.snn.plan.StagePlan`) overrides the
         global ``density_threshold`` with the stage's calibrated one and
-        routes the dense path through the workspace-arena kernels.
+        routes both the dense and the event path through the
+        workspace-arena kernels.
         """
         if spikes is None:
             return None
         if isinstance(spikes, SpikePacket):
             threshold = self.density_threshold if pstage is None else pstage.threshold
             if self.event_driven and spikes.density <= threshold:
-                return ev.apply_stage_events(stage, spikes)
+                if pstage is None:
+                    return ev.apply_stage_events(stage, spikes)
+                return ev.apply_stage_events(
+                    stage, spikes, pstage.workspace, pstage.index
+                )
             spikes = spikes.to_dense()
         if pstage is not None:
             return pstage.apply_dense(spikes)

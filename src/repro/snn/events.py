@@ -33,13 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.im2col import conv_output_size
+from repro.nn.im2col import conv_output_size, reverse_im2col_indices
 from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten
 
 try:  # scipy ships with the toolchain; gate it so the engine degrades gracefully
     from scipy import sparse as _scipy_sparse
+    from scipy.sparse._sparsetools import coo_tocsr as _coo_tocsr
+    from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
 except ImportError:  # pragma: no cover - exercised only without scipy
     _scipy_sparse = None
+    _coo_tocsr = _csc_matvecs = None
 
 __all__ = [
     "SpikePacket",
@@ -56,6 +59,10 @@ __all__ = [
 #: im2col convolution (numpy gather/scatter vs BLAS; see
 #: benchmarks/bench_engine_throughput.py for the measurement).
 DEFAULT_DENSITY_THRESHOLD = 0.1
+
+#: Elements per block of the sparse conv's transposed output copy (~32 KB
+#: of float64, so a block's reads stay in L1).
+_TRANSPOSE_BLOCK = 4096
 
 
 @dataclass
@@ -314,76 +321,75 @@ def _dense_apply_events(op: Dense, packet: SpikePacket) -> np.ndarray:
     return out
 
 
-def _conv_event_pairs(
-    op: Conv2D, packet: SpikePacket, out_h: int, out_w: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(kernel row, flat output target, weight) triples of a packet's events.
-
-    An event at input pixel ``(c, y, x)`` contributes its weight times
-    ``W[:, c, dy, dx]`` to output position ``(y + pad - dy, x + pad - dx)``
-    (divided by the stride) for every in-bounds kernel offset — built with
-    one broadcast over the ``KH*KW`` offsets, no ragged indexing.
-    """
-    c, h, w = packet.shape
-    kh, kw, stride, pad = op.kernel_h, op.kernel_w, op.stride, op.pad
-    cidx, rem = np.divmod(packet.idx, h * w)
-    yy, xx = np.divmod(rem, w)
-    dy = np.repeat(np.arange(kh, dtype=np.int64), kw)[:, None]
-    dx = np.tile(np.arange(kw, dtype=np.int64), kh)[:, None]
-    oy = yy[None, :] + pad - dy
-    ox = xx[None, :] + pad - dx
-    if stride > 1:
-        valid = (oy % stride == 0) & (ox % stride == 0)
-        oy //= stride
-        ox //= stride
-        valid &= (oy >= 0) & (oy < out_h) & (ox >= 0) & (ox < out_w)
-    else:
-        valid = (oy >= 0) & (oy < out_h) & (ox >= 0) & (ox < out_w)
-    n_off = kh * kw
-    keep = valid.ravel()
-    krow = (cidx[None, :] * n_off + (dy * kw + dx)).ravel()[keep]
-    target = (
-        packet.rows[None, :] * (out_h * out_w) + oy * out_w + ox
-    ).ravel()[keep]
-    weights = np.broadcast_to(packet.weights, (n_off, packet.count)).ravel()[keep]
-    return krow, target, weights
-
-
-def _conv2d_apply_events(op: Conv2D, packet: SpikePacket) -> np.ndarray:
+def _conv2d_apply_events(
+    op: Conv2D, packet: SpikePacket, ws=None, key=None
+) -> np.ndarray:
     """Sparse convolution: scatter-add one weight patch per event.
 
-    With scipy available the scatter is a ``(F, C*KH*KW) @ sparse`` product
-    (compiled CSR matmul); otherwise a sorted segment-reduce.  Work scales
-    with ``events x KH*KW x F`` instead of the full im2col volume.
+    The cached reverse im2col map turns the packet into ``(kernel row,
+    output target, weight)`` triples with two gathers; out-of-bounds offsets
+    land in a per-row sink slot ``L = out_h*out_w`` instead of being masked
+    out.  With scipy the triples become the CSC operand of one compiled
+    ``(B*(L+1), C*KH*KW) @ W.T`` product accumulating straight into a
+    ``(B, L+1, F)`` buffer; without it a sorted segment-reduce fills the
+    same buffer.  Work scales with ``events x KH*KW x F`` instead of the
+    full im2col volume, plus one pass over the dense output.
+
+    ``ws``/``key`` (a :class:`~repro.snn.plan.Workspace` and the stage's
+    op key) place the accumulator and the returned drive in the arena,
+    aliasing ``Conv2D.infer_ws``'s im2col scratch and GEMM output: a flush
+    takes one of the two paths, and the drive follows the same ownership
+    rule as ``StagePlan.apply_dense`` (valid until the stage's next flush).
+    Without them both are freshly allocated.
     """
     c, h, w = packet.shape
-    out_h = conv_output_size(h, op.kernel_h, op.stride, op.pad)
-    out_w = conv_output_size(w, op.kernel_w, op.stride, op.pad)
-    out_len = out_h * out_w
+    kh, kw = op.kernel_h, op.kernel_w
+    out_h = conv_output_size(h, kh, op.stride, op.pad)
+    out_w = conv_output_size(w, kw, op.stride, op.pad)
+    length = out_h * out_w
     f = op.out_channels
-    dtype = packet.weights.dtype
-    w_mat = op.weight.data.reshape(f, -1)
-    if packet.count == 0:
-        out = np.zeros((packet.batch, f, out_h, out_w), dtype=dtype)
+    n = packet.batch
+    dtype = np.result_type(packet.weights.dtype, op.weight.data.dtype)
+    if ws is None:
+        acc = np.zeros((n, length + 1, f), dtype=dtype)
+        out = np.empty((n, f, out_h, out_w), dtype=dtype)
     else:
-        krow, target, weights = _conv_event_pairs(op, packet, out_h, out_w)
+        acc = ws.buffer((key, "big"), (n, length + 1, f), dtype)
+        acc[...] = 0
+        out = ws.buffer((key, "gemm"), (n, f, out_h, out_w), dtype)
+    if packet.count:
+        krow_map, target_map = reverse_im2col_indices(
+            c, h, w, kh, kw, op.stride, op.pad
+        )
+        rows_total = n * (length + 1)
+        krow = np.take(krow_map, packet.idx, axis=0).ravel()
+        target = np.take(target_map, packet.idx, axis=0)
+        target += (packet.rows * (length + 1)).astype(np.int32)[:, None]
+        target = target.ravel()
+        weights = np.repeat(packet.weights.astype(dtype, copy=False), kh * kw)
+        w_t = np.ascontiguousarray(op.weight.data.reshape(f, -1).T, dtype=dtype)
+        acc_rows = acc.reshape(rows_total, f)
         if _scipy_sparse is not None:
-            cols = _scipy_sparse.coo_matrix(
-                (weights, (krow, target)),
-                shape=(w_mat.shape[1], packet.batch * out_len),
-            ).tocsr()
-            out = np.asarray(w_mat @ cols)  # (F, batch*L)
-            out = np.ascontiguousarray(
-                out.reshape(f, packet.batch, out_h, out_w).transpose(1, 0, 2, 3)
-            )
+            # coo_tocsr keyed on the kernel row builds the operand's CSC
+            # form without sorting or summing duplicates; csc_matvecs then
+            # accumulates duplicates like any other entry.
+            k, nnz = w_t.shape[0], krow.shape[0]
+            indptr = np.empty(k + 1, dtype=np.int32)
+            indices = np.empty(nnz, dtype=np.int32)
+            data = np.empty(nnz, dtype=dtype)
+            _coo_tocsr(k, rows_total, nnz, krow, target, weights, indptr, indices, data)
+            _csc_matvecs(rows_total, k, f, indptr, indices, data, w_t, acc_rows)
         else:
-            flat = np.zeros((packet.batch * out_len, f), dtype=dtype)
             order = np.argsort(target, kind="stable")
-            payload = w_mat.T[krow[order]] * weights[order, None]
-            _segment_scatter(flat, target[order], payload)
-            out = np.ascontiguousarray(
-                flat.reshape(packet.batch, out_len, f).transpose(0, 2, 1)
-            ).reshape(packet.batch, f, out_h, out_w)
+            payload = w_t[krow[order]] * weights[order, None]
+            _segment_scatter(acc_rows, target[order], payload)
+    # (B, L+1, F) -> (B, F, L) without the sink, in cache-sized blocks: one
+    # whole-array strided copy runs ~1.5x slower at 32x32 outputs.
+    drive = out.reshape(n, f, length)
+    step = max(_TRANSPOSE_BLOCK // f, 1)
+    for lo in range(0, length, step):
+        hi = min(lo + step, length)
+        drive[:, :, lo:hi] = acc[:, lo:hi].transpose(0, 2, 1)
     if op.bias is not None:
         out += op.bias.data.reshape(1, -1, 1, 1)
     return out
@@ -412,8 +418,14 @@ def _avgpool_apply_events(
     )
 
 
-def apply_op_events(op, packet: SpikePacket) -> SpikePacket | np.ndarray:
-    """Apply one linear op to a packet, staying sparse where possible."""
+def apply_op_events(
+    op, packet: SpikePacket, ws=None, key=None
+) -> SpikePacket | np.ndarray:
+    """Apply one linear op to a packet, staying sparse where possible.
+
+    ``ws``/``key`` route a conv's accumulator and drive into a workspace
+    arena (see ``_conv2d_apply_events``).
+    """
     if isinstance(op, Flatten):
         return packet.with_shape((int(np.prod(packet.shape)),))
     if isinstance(op, AvgPool2D):
@@ -421,21 +433,23 @@ def apply_op_events(op, packet: SpikePacket) -> SpikePacket | np.ndarray:
     if isinstance(op, Dense):
         return _dense_apply_events(op, packet)
     if isinstance(op, Conv2D):
-        return _conv2d_apply_events(op, packet)
+        return _conv2d_apply_events(op, packet, ws, key)
     return op.infer(packet.to_dense())
 
 
-def apply_stage_events(stage, packet: SpikePacket) -> np.ndarray:
+def apply_stage_events(stage, packet: SpikePacket, ws=None, index=None) -> np.ndarray:
     """Propagate a packet through a converted stage's op chain.
 
     Index-remap ops keep the packet sparse; the first matrix op (conv or
     dense) produces the dense synaptic drive, and any remaining ops run on
-    the dense inference path.
+    the dense inference path.  A compiled plan passes its workspace and the
+    stage's index so the conv kernel's buffers come from the arena (same
+    op keys ``(index, j)`` as ``StagePlan.apply_dense``).
     """
     out: SpikePacket | np.ndarray = packet
-    for op in stage.ops:
+    for j, op in enumerate(stage.ops):
         if isinstance(out, SpikePacket):
-            out = apply_op_events(op, out)
+            out = apply_op_events(op, out, ws, (index, j))
         else:
             out = op.infer(out)
     if isinstance(out, SpikePacket):

@@ -169,13 +169,21 @@ def _random_packet(rng, batch: int, shape: tuple[int, ...], density: float, dtyp
     )
 
 
-def _best_time(fn, repeats: int = 2) -> float:
-    fn()  # warm caches (im2col indices, BLAS threads)
-    best = np.inf
+def _best_times(fns, repeats: int = 2) -> list[float]:
+    """Best-of-``repeats`` wall time of each kernel, timed alternately.
+
+    Interleaving exposes the kernels to the same scheduler noise, so a slow
+    spell on a shared machine cannot flip the comparison by landing on one
+    kernel's timings only.
+    """
+    for fn in fns:
+        fn()  # warm caches (im2col indices, BLAS threads, arena buffers)
+    best = [np.inf] * len(fns)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -195,9 +203,15 @@ def _calibrate_stage(pstage: StagePlan, batch: int, dtype, densities, default: f
     timings = []
     for d in points:
         packet = _random_packet(rng, batch, pstage.in_shape, d, dtype)
-        t_event = _best_time(lambda: ev.apply_stage_events(pstage.stage, packet))
         dense = packet.to_dense()
-        t_gemm = _best_time(lambda: pstage.apply_dense(dense))
+        t_event, t_gemm = _best_times(
+            [
+                lambda: ev.apply_stage_events(
+                    pstage.stage, packet, pstage.workspace, pstage.index
+                ),
+                lambda: pstage.apply_dense(dense),
+            ]
+        )
         timings.append((d, t_event, t_gemm))
     wins = [d for d, te, tg in timings if te < tg]
     losses = [d for d, te, tg in timings if te >= tg]

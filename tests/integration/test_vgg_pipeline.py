@@ -85,3 +85,55 @@ class TestVGGT2FSNN:
         result = T2FSNN(network, window=20).run(data[2][:20])
         upper = int(np.prod(network.input_shape)) + network.total_neurons
         assert result.total_spikes <= upper
+
+
+@pytest.fixture(scope="module")
+def vgg_quarter():
+    """An untrained ``vgg7(width=0.25)`` converted on random images: parity
+    needs no accuracy, only real spike densities in every stage."""
+    rng = np.random.default_rng(5)
+    model = vgg7(input_shape=(3, 32, 32), num_classes=10, width=0.25, rng=3)
+    network = convert_to_snn(model, rng.random((32, 3, 32, 32)))
+    return network, rng.random((6, 3, 32, 32))
+
+
+class TestEarlyFiringPlanParity:
+    """A compiled early-firing plan against the dense reference engine.
+
+    Overlapping fire windows deliver spikes per step, so the AvgPool->Conv
+    stages feed the sparse conv kernel pooled packets with duplicate event
+    positions at the densities a real network produces.
+    """
+
+    @pytest.mark.parametrize("operators", ["calibrated", "events"])
+    def test_predictions_and_spike_counts_match_dense(
+        self, vgg_quarter, operators, monkeypatch
+    ):
+        from repro.coding.ttfs import TTFSCoding
+        from repro.nn.layers import AvgPool2D
+        from repro.snn import events as ev
+        from repro.snn.engine import Simulator
+
+        network, x = vgg_quarter
+        dense = Simulator(
+            network, TTFSCoding(window=32, early_firing=True), event_driven=False
+        ).run(x)
+        plan = Simulator(
+            network, TTFSCoding(window=32, early_firing=True)
+        ).compile(batch_size=4)
+        if operators == "events":
+            for pstage in [*plan.stage_plans, plan.readout_plan]:
+                pstage.threshold = 1.0
+        pooled_calls = []
+        propagate = ev.apply_stage_events
+
+        def recording(stage, packet, *arena):
+            if isinstance(stage.ops[0], AvgPool2D):
+                pooled_calls.append(packet.count)
+            return propagate(stage, packet, *arena)
+
+        monkeypatch.setattr(ev, "apply_stage_events", recording)
+        result = plan.run_batched(x, batch_size=4)
+        assert pooled_calls, "no pooled packet reached the sparse conv kernel"
+        np.testing.assert_array_equal(result.predictions, dense.predictions)
+        assert result.spike_counts == dense.spike_counts

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.im2col import col2im, conv_output_size, im2col, im2col_indices
+from repro.nn.im2col import (
+    col2im,
+    conv_output_size,
+    im2col,
+    im2col_indices,
+    reverse_im2col_indices,
+)
 
 
 def naive_conv2d(x, w, stride, pad):
@@ -120,3 +126,45 @@ class TestIndicesCache:
     def test_output_sizes_included(self):
         *_, out_h, out_w = im2col_indices(1, 8, 6, 3, 3, 1, 1)
         assert (out_h, out_w) == (8, 6)
+
+
+class TestReverseIm2col:
+    """The event kernel's (pixel, offset) -> (kernel row, target) map is
+    the exact inverse of the im2col gather."""
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            (2, 5, 7, 3, 3, 1, 1),
+            (1, 6, 6, 2, 3, 2, 0),
+            (3, 7, 5, 4, 1, 3, 2),
+            (2, 4, 4, 1, 1, 1, 0),
+        ],
+    )
+    def test_inverts_the_forward_gather(self, geometry):
+        c, h, w, kh, kw, stride, pad = geometry
+        k, i, j, out_h, out_w = im2col_indices(c, h, w, kh, kw, stride, pad)
+        length = out_h * out_w
+        forward = set()
+        for row in range(c * kh * kw):
+            for target in range(length):
+                y, x = i[row, target] - pad, j[row, target] - pad
+                if 0 <= y < h and 0 <= x < w:  # padding reads no pixel
+                    pixel = (k[row, 0] * h + y) * w + x
+                    forward.add((pixel, row, target))
+        krow, targets = reverse_im2col_indices(c, h, w, kh, kw, stride, pad)
+        assert krow.shape == targets.shape == (c * h * w, kh * kw)
+        assert krow.dtype == targets.dtype == np.int32
+        reverse = {
+            (pixel, int(krow[pixel, o]), int(targets[pixel, o]))
+            for pixel in range(c * h * w)
+            for o in range(kh * kw)
+            if targets[pixel, o] != length  # the sink slot
+        }
+        assert reverse == forward
+
+    def test_cached_and_read_only(self):
+        first = reverse_im2col_indices(2, 6, 6, 3, 3, 1, 1)
+        assert reverse_im2col_indices(2, 6, 6, 3, 3, 1, 1) is first
+        for table in first:
+            assert not table.flags.writeable

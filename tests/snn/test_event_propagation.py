@@ -8,9 +8,14 @@ counts on every coding scheme, with scores agreeing to floating-point
 reassociation error.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.snn.events as events_mod
 from repro.coding.burst import BurstCoding
 from repro.coding.phase import PhaseCoding
 from repro.coding.rate import RateCoding
@@ -18,6 +23,7 @@ from repro.coding.ttfs import TTFSCoding
 from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten
 from repro.snn.engine import Simulator
 from repro.snn.events import SpikePacket, apply_op_events, ingest, spike_count, spike_mask
+from repro.snn.plan import Workspace
 
 SCHEMES = {
     "ttfs": (lambda: TTFSCoding(window=16), None),
@@ -169,8 +175,6 @@ class TestSparseOps:
 
     def test_numpy_fallback_without_scipy(self, rng, monkeypatch):
         """The pure-numpy segment-reduce kernels back up the scipy path."""
-        import repro.snn.events as events_mod
-
         monkeypatch.setattr(events_mod, "_scipy_sparse", None)
         conv = Conv2D(3, 5, 3, stride=1, pad=1, rng=rng)
         dense_in = rng.random((2, 3, 8, 8)) * (rng.random((2, 3, 8, 8)) < 0.15)
@@ -180,6 +184,105 @@ class TestSparseOps:
         dense_in = rng.random((3, 20)) * (rng.random((3, 20)) < 0.2)
         got = apply_op_events(fc, SpikePacket.from_dense(dense_in))
         np.testing.assert_allclose(got, fc.infer(dense_in), rtol=1e-10, atol=1e-12)
+
+
+@dataclass(frozen=True)
+class ConvEventCase:
+    channels: int
+    filters: int
+    kernel: tuple[int, int]
+    stride: int
+    pad: int
+    height: int
+    width: int
+    batch: int
+    active_rows: tuple[bool, ...]
+    density: float
+    pooled: bool
+    bias: bool
+    dtype: type
+    seed: int
+
+
+@st.composite
+def conv_event_cases(draw):
+    """Conv geometries beyond the square 3x3 case: non-square kernels,
+    stride 1-3, pad 0-2, odd spatial sizes, silent batch rows, and (via an
+    AvgPool2D remap) packets with duplicate event positions."""
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pad = draw(st.integers(0, 2))
+    batch = draw(st.integers(1, 4))
+    return ConvEventCase(
+        channels=draw(st.integers(1, 3)),
+        filters=draw(st.integers(1, 4)),
+        kernel=(kh, kw),
+        stride=draw(st.integers(1, 3)),
+        pad=pad,
+        # The conv input must hold at least one (padded) kernel window.
+        height=draw(st.integers(max(kh - 2 * pad, 1), 9)),
+        width=draw(st.integers(max(kw - 2 * pad, 1), 9)),
+        batch=batch,
+        active_rows=tuple(
+            draw(st.lists(st.booleans(), min_size=batch, max_size=batch))
+        ),
+        density=draw(st.sampled_from([0.05, 0.2, 0.6])),
+        pooled=draw(st.booleans()),
+        bias=draw(st.booleans()),
+        dtype=draw(st.sampled_from([np.float32, np.float64])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestConvEventKernelProperty:
+    """The sparse conv kernel against ``Conv2D.infer`` on generated cases,
+    on the compiled scipy path and on the numpy segment-reduce fallback."""
+
+    @pytest.mark.parametrize("backend", ["scipy", "numpy"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=conv_event_cases())
+    def test_matches_dense_conv(self, backend, case):
+        if backend == "scipy" and events_mod._scipy_sparse is None:
+            pytest.skip("scipy is not installed")
+        rng = np.random.default_rng(case.seed)
+        conv = Conv2D(
+            case.channels,
+            case.filters,
+            case.kernel,
+            stride=case.stride,
+            pad=case.pad,
+            use_bias=case.bias,
+            rng=rng,
+            dtype=case.dtype,
+        )
+        if case.bias:
+            conv.bias.data[...] = rng.normal(size=case.filters)
+        scale = 2 if case.pooled else 1
+        shape = (case.batch, case.channels, scale * case.height, scale * case.width)
+        dense = rng.random(shape) * (rng.random(shape) < case.density)
+        dense[~np.array(case.active_rows)] = 0.0
+        dense = dense.astype(case.dtype)
+        packet = SpikePacket.from_dense(dense)
+        if case.pooled:
+            pool = AvgPool2D(2)
+            packet = apply_op_events(pool, packet)
+            dense = pool.infer(dense)
+            assert isinstance(packet, SpikePacket) and not packet.unique
+        expected = conv.infer(dense)
+        ws = Workspace()
+        with pytest.MonkeyPatch.context() as mp:
+            if backend == "numpy":
+                mp.setattr(events_mod, "_scipy_sparse", None)
+            got = apply_op_events(conv, packet)
+            # The arena variant twice: the accumulator must be re-zeroed.
+            apply_op_events(conv, packet, ws, (0, 0))
+            got_ws = apply_op_events(conv, packet, ws, (0, 0))
+        assert got.dtype == expected.dtype == case.dtype
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got_ws, got)
+        if case.dtype == np.float32:
+            np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-5)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
 class TestMergePackets:

@@ -27,6 +27,7 @@ from repro.coding.phase import PhaseCoding
 from repro.coding.rate import RateCoding
 from repro.coding.reverse import ReverseCoding
 from repro.coding.ttfs import TTFSCoding
+from repro.snn import events as ev
 from repro.snn.engine import Simulator
 from repro.snn.plan import Workspace
 
@@ -266,6 +267,37 @@ class TestZeroAllocationSteadyState:
         assert np.shares_memory(plan.bound.readout.potential, potential_before)
         for dyn, before in zip(plan.bound.dynamics, u_before):
             assert np.shares_memory(dyn.u, before)
+
+    def test_early_firing_event_path_has_no_new_allocations(
+        self, tiny_network, tiny_data, monkeypatch
+    ):
+        """Early firing overlaps the fire windows, so the phased loop delivers
+        spikes per step; with every stage pinned to the event kernel, its
+        accumulator and drive buffers come from the arena and reach a steady
+        state just like the GEMM path's."""
+        x = tiny_data[2][:16]
+        sim = Simulator(tiny_network, TTFSCoding(window=16, early_firing=True))
+        plan = sim.compile(batch_size=8)
+        assert plan.phased
+        reference = plan.run_batched(x, batch_size=8)
+        for pstage in [*plan.stage_plans, plan.readout_plan]:
+            pstage.threshold = 1.0  # event kernel at every density
+        arena_calls = []
+        propagate = ev.apply_stage_events
+
+        def recording(stage, packet, ws=None, index=None):
+            arena_calls.append(ws is plan.workspace)
+            return propagate(stage, packet, ws, index)
+
+        monkeypatch.setattr(ev, "apply_stage_events", recording)
+        plan.run_batched(x, batch_size=8)  # warmup sizes the event buffers
+        allocs = plan.workspace.allocations
+        arena_calls.clear()
+        result = plan.run_batched(x, batch_size=8)
+        assert len(arena_calls) > len(plan.stage_plans) and all(arena_calls)
+        assert plan.workspace.allocations == allocs
+        np.testing.assert_array_equal(result.predictions, reference.predictions)
+        assert result.spike_counts == reference.spike_counts
 
     def test_no_net_heap_growth_across_runs(self, tiny_network, tiny_data):
         """tracemalloc: after warmup, further compiled runs retain no new
