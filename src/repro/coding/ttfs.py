@@ -24,6 +24,12 @@ O(spikes emitted) instead of O(population x steps).  Firing decisions are
 identical to the per-step comparison; both stages and the encoder also
 report per-sample quiescence (``row_quiescent``), which powers early exit
 and batch retirement.
+
+Every spike time comes from one closed-form routine (:class:`_SpikeTimes`,
+bit-identical to ``np.searchsorted`` over the kernel table).  The compiled
+plan's bulk drains (docs/DESIGN.md §10) use it to emit a whole fire window
+either as one packet or, when the receiver runs its GEMM, as a dense
+tensor written into a buffer the plan supplies, without allocating.
 """
 
 from __future__ import annotations
@@ -55,12 +61,200 @@ __all__ = [
 ]
 
 
+#: The smallest positive float64: ``x >= _SMALLEST_POSITIVE`` is ``x > 0``
+#: for any real input dtype (a numpy scalar, so float32 inputs compare in
+#: float64 rather than rounding it to zero).
+_SMALLEST_POSITIVE = np.nextafter(np.float64(0.0), np.float64(1.0))
+
+
 def _suffix_min(weights: np.ndarray) -> np.ndarray:
     """``out[i] = min(weights[i:])`` — the threshold floor of the remaining
     fire window.  A potential below ``out[i]`` can never fire from step ``i``
     on (the kernel is evaluated exactly, so no monotonicity assumption is
     needed)."""
     return np.minimum.accumulate(weights[::-1])[::-1]
+
+
+class _SpikeTimes:
+    """Closed-form spike offsets over a monotone threshold table.
+
+    ``offsets(v, dt_from)`` is, per value, the first offset ``dt`` with
+    ``v >= weights[dt]`` (``len(weights)`` when there is none), raised to at
+    least ``dt_from`` — bit-identical to
+    ``np.maximum(np.searchsorted(-weights, -v), dt_from)``.
+
+    A geometric table (the exponential kernel of Eq. 5, tabulated or as a
+    LUT) has the closed-form inverse ``dt = ceil(t_d - tau * ln(v/theta0))``.
+    The index is estimated log-linearly from the table's own endpoints,
+    truncated, then fixed up once in each direction against the table
+    (``dt += v < W[dt]``, ``dt -= W[dt-1] <= v``), which makes it exact for
+    any estimate within one of the answer.  That bound is verified once here,
+    at every step boundary of the table and its float neighbours, with a
+    quarter-step margin; the estimate is monotone in ``v``, so the boundaries
+    bound every value between them.  A table that fails the check (not
+    geometric, zero or non-finite entries, a single entry) keeps
+    ``np.searchsorted``.  Every pass can write into caller-owned scratch,
+    which is what makes the compiled plan's dense drain allocation-free.
+    """
+
+    __slots__ = ("weights", "emitted", "_neg", "_lo", "_hi", "_fit", "_clip")
+
+    #: Slack, in steps, the estimate must keep from the fix-ups' reach.
+    MARGIN = 0.25
+
+    def __init__(self, weights: np.ndarray):
+        self.weights = weights
+        dtype = weights.dtype
+        # Tables padded past both ends, so a fix-up never indexes outside
+        # them: _lo[dt] = W[dt], _hi[dt] = W[dt - 1], emitted[dt] = the spike
+        # weight, zero for "never fires".  The pads keep both fix-ups inside
+        # [0, len]: -inf never steps up past the end (_lo) and always steps
+        # back from len + 1 (_hi); NaN never steps below zero (_hi).
+        self._lo = np.concatenate((weights, np.full(2, -np.inf, dtype=dtype)))
+        self._hi = np.concatenate(
+            (np.full(1, np.nan, dtype=dtype), weights, np.full(1, -np.inf, dtype=dtype))
+        )
+        self.emitted = np.concatenate((weights, np.zeros(2, dtype=dtype)))
+        self._neg = -weights
+        self._clip = (weights[-1], weights[0])
+        self._fit = self._log_fit()
+
+    @property
+    def closed_form(self) -> bool:
+        """Whether offsets come from the log-linear estimate (else searchsorted)."""
+        return self._fit is not None
+
+    def _log_fit(self) -> tuple[float, float] | None:
+        w = self.weights
+        if (
+            len(w) < 2
+            or not np.all(np.isfinite(w))
+            or not w[-1] > 0
+            or not np.all(w[1:] < w[:-1])
+        ):
+            return None
+        top, bottom = np.log(float(w[0])), np.log(float(w[-1]))
+        slope = (len(w) - 1) / (bottom - top)
+        # Continuous index c(v) = slope * (ln v - ln W[0]) puts a value in
+        # [W[i], W[i-1]) at c in (i-1, i]; +1 centres the truncated estimate
+        # on the fix-ups' reach [i-1, i+1].
+        fit = (1.0 - slope * top, slope)
+        probe = np.concatenate((w, np.nextafter(w, np.inf), np.nextafter(w, -np.inf)))
+        est = self._estimate(probe, fit)
+        exact = np.searchsorted(self._neg, -probe, side="left")
+        fits = bool(
+            np.all(est >= exact - 1 + self.MARGIN)
+            and np.all(est <= exact + 2 - self.MARGIN)
+        )
+        return fit if fits else None
+
+    def _estimate(
+        self, values: np.ndarray, fit: tuple[float, float], g: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Fractional offset estimate, within one of the answer once
+        truncated; ``g`` is the float scratch it is written into."""
+        intercept, slope = fit
+        g = np.clip(values, *self._clip, out=g)
+        np.log(g, out=g)
+        np.multiply(g, slope, out=g)
+        np.add(g, intercept, out=g)
+        return g
+
+    def offsets(
+        self,
+        values: np.ndarray,
+        dt_from: int = 0,
+        out: np.ndarray | None = None,
+        g: np.ndarray | None = None,
+        cmp: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Spike offset of every value (see the class docstring).
+
+        ``out`` (intp), ``g`` (``values.dtype``) and ``cmp`` (bool), each
+        shaped like ``values``, are optional scratch; without them the
+        passes allocate.
+        """
+        if self._fit is None or values.dtype != self.weights.dtype:
+            dt = np.searchsorted(self._neg, -values, side="left")
+            if out is not None:
+                out[...] = dt
+                dt = out
+        else:
+            g = self._estimate(values, self._fit, g)
+            dt = np.empty(values.shape, dtype=np.intp) if out is None else out
+            np.copyto(dt, g, casting="unsafe")  # truncation toward zero
+            np.take(self._lo, dt, out=g, mode="clip")
+            cmp = np.less(values, g, out=cmp)
+            np.add(dt, cmp, out=dt)  # fired later than estimated
+            np.take(self._hi, dt, out=g, mode="clip")
+            np.less_equal(g, values, out=cmp)
+            np.subtract(dt, cmp, out=dt)  # fired earlier than estimated
+        if dt_from > 0:
+            np.maximum(dt, dt_from, out=dt)
+        return dt
+
+
+def _scratch(workspace, name: str, shape, dtype) -> np.ndarray:
+    """A drain scratch buffer: shared by every stage through the plan's
+    workspace (it sizes itself to the largest), fresh without one."""
+    if workspace is None:
+        return np.empty(shape, dtype=dtype)
+    return workspace.buffer(("ttfs.drain", name), shape, dtype)
+
+
+def _drain(
+    times: _SpikeTimes,
+    values: np.ndarray,
+    fired: np.ndarray,
+    floor,
+    dt_from: int,
+    shape: tuple[int, ...],
+    out: np.ndarray | None,
+    threshold: float,
+    workspace,
+) -> tuple[SpikePacket | np.ndarray | None, int]:
+    """Fire every unit of ``values`` (``(batch, features)``) that is unfired
+    and at or above ``floor`` at its closed-form offset; latch it fired.
+
+    Returns ``(spikes, count)``.  The spikes leave as a
+    :class:`SpikePacket` in row-major order when ``out`` is ``None`` or
+    their density is at or below ``threshold`` (the receiver's event-kernel
+    decision), otherwise as the dense weighted tensor written into ``out``
+    (``(batch, *shape)``, any strides — e.g. a conv's transposed GEMM
+    output) — bit-identical to the packet's ``to_dense()``.  With a
+    ``workspace`` the dense path allocates nothing.
+    """
+    mask = _scratch(workspace, "mask", values.shape, bool)
+    np.greater_equal(values, floor, out=mask)
+    np.greater(mask, fired, out=mask)  # over the floor and not yet fired
+    count = int(np.count_nonzero(mask))
+    if count == 0:
+        return None, 0
+    if out is None or count / values.size <= threshold:
+        rows, idx = np.divmod(np.flatnonzero(mask), values.shape[1])
+        fire_dt = times.offsets(values[rows, idx], dt_from)
+        fired[rows, idx] = True
+        packet = SpikePacket(
+            rows=rows,
+            idx=idx,
+            weights=times.weights[fire_dt],
+            batch=values.shape[0],
+            shape=tuple(shape),
+            unique=True,
+        )
+        return packet, count
+    g = _scratch(workspace, "g", values.shape, times.weights.dtype)
+    dt = times.offsets(
+        values,
+        dt_from,
+        out=_scratch(workspace, "dt", values.shape, np.intp),
+        g=g,
+        cmp=_scratch(workspace, "cmp", values.shape, bool),
+    )
+    np.take(times.emitted, dt, out=g, mode="clip")
+    np.multiply(g.reshape(out.shape), mask.reshape(out.shape), out=out)
+    np.logical_or(fired, mask, out=fired)
+    return out, count
 
 
 class _FiringSchedule:
@@ -85,13 +279,12 @@ class _FiringSchedule:
         self,
         flat: np.ndarray,
         alive: np.ndarray,
-        weights: np.ndarray,
+        times: _SpikeTimes,
         dt_from: int,
     ):
         rows, idx = np.divmod(np.flatnonzero(alive), alive.shape[1])
-        fire_dt = np.searchsorted(-weights, -flat[rows, idx], side="left")
-        np.maximum(fire_dt, dt_from, out=fire_dt)
-        fire_dt = fire_dt.astype(np.uint16, copy=False)
+        weights = times.weights
+        fire_dt = times.offsets(flat[rows, idx], dt_from).astype(np.uint16, copy=False)
         order = np.argsort(fire_dt, kind="stable")
         fire_dt = fire_dt[order]
         self.rows = rows[order]
@@ -169,6 +362,7 @@ class TTFSInputEncoder(InputEncoder):
         self._weights = tabulate_kernel(kernel, window, theta0, dtype)
         self._floor = _suffix_min(self._weights)
         self._monotone = bool(np.all(np.diff(self._weights) <= 0))
+        self._times = _SpikeTimes(self._weights)
         self._x: np.ndarray | None = None
         self._fired: np.ndarray | None = None
         self._fired_base: np.ndarray | None = None
@@ -194,9 +388,13 @@ class TTFSInputEncoder(InputEncoder):
         bulk-drained run never pays for it.
         """
         flat = self._x.reshape(self._x.shape[0], -1)
-        # Pixels below the smallest threshold (or exactly zero) never fire.
-        alive = (flat >= self._weights[self.window - 1]) & (flat > 0.0)
-        self._sched = _FiringSchedule(flat, alive, self._weights, 0)
+        alive = flat >= self._pixel_floor()
+        self._sched = _FiringSchedule(flat, alive, self._times, 0)
+
+    def _pixel_floor(self):
+        """Smallest pixel that fires: at or above the last threshold and
+        above zero (zero pixels never fire, whatever the table holds)."""
+        return max(self._weights[-1], _SMALLEST_POSITIVE)
 
     def step(self, t: int) -> np.ndarray | SpikePacket | None:
         if self._x is None or self._fired is None:
@@ -240,41 +438,43 @@ class TTFSInputEncoder(InputEncoder):
         packet (monotone kernel: every pixel's spike time has a closed form)."""
         return self._monotone
 
-    def drain_events(self) -> SpikePacket | None:
-        """Emit every remaining pixel spike as a single packet.
+    def drain_events(
+        self,
+        out: np.ndarray | None = None,
+        threshold: float = 1.0,
+        workspace=None,
+    ) -> tuple[SpikePacket | np.ndarray | None, int]:
+        """Emit every remaining pixel spike at once; returns ``(spikes, count)``.
 
         Valid whenever the receiving stage integrates the full encoder
         window before reading its membrane (the compiled phased executor
         checks the schedule): TTFS pixels fire at most once, so the event
-        positions are unique and the receiver's scatter-accumulation is
+        positions are unique and the receiver's accumulation is
         bit-identical no matter how the events are grouped over steps.
-        Events are emitted in row-major order with per-event kernel weights;
-        all emitting pixels are latched fired.
+        Spikes carry per-event kernel weights and all emitting pixels are
+        latched fired.  They leave as one row-major packet unless ``out``
+        (``x``-shaped) is given and their density exceeds ``threshold`` —
+        the receiver's calibrated event-kernel threshold — in which case
+        the dense weighted tensor is written into ``out``; ``workspace``
+        supplies shared scratch (:func:`_drain`).
         """
         if self._x is None or self._fired is None:
             raise RuntimeError("reset() must be called before drain_events()")
         if not self._monotone:
             raise RuntimeError("drain_events() requires a monotone kernel")
         self._drained = True
-        flat = self._x.reshape(self._x.shape[0], -1)
-        fired_flat = self._fired.reshape(self._fired.shape[0], -1)
-        alive = (
-            ~fired_flat & (flat >= self._weights[self.window - 1]) & (flat > 0.0)
-        )
-        rows, idx = np.divmod(np.flatnonzero(alive), alive.shape[1])
-        if rows.shape[0] == 0:
-            return None
-        fire_dt = np.searchsorted(-self._weights, -flat[rows, idx], side="left")
-        fired_flat[rows, idx] = True
         self._sched = None  # all buckets drained; step() now sees all-fired
-        self._drained = True
-        return SpikePacket(
-            rows=rows,
-            idx=idx,
-            weights=self._weights[fire_dt],
-            batch=self._x.shape[0],
-            shape=self._x.shape[1:],
-            unique=True,
+        n = self._x.shape[0]
+        return _drain(
+            self._times,
+            self._x.reshape(n, -1),
+            self._fired.reshape(n, -1),
+            self._pixel_floor(),
+            0,
+            self._x.shape[1:],
+            out,
+            threshold,
+            workspace,
         )
 
     def row_quiescent(self, t: int) -> np.ndarray | None:
@@ -343,6 +543,7 @@ class TTFSNeurons(NeuronDynamics):
         # no further drive can arrive (checked, not assumed, so exotic
         # kernels simply keep the per-step comparison).
         self._monotone = bool(np.all(np.diff(self._weights) <= 0))
+        self._times = _SpikeTimes(self._weights)
         self._fired: np.ndarray | None = None
         self._fired_base: np.ndarray | None = None
         self._no_more_input = False
@@ -384,7 +585,7 @@ class TTFSNeurons(NeuronDynamics):
             dt_from = 0  # no offsets left; the empty schedule is inert
         else:
             alive = (~fired_flat) & (flat >= self._floor[dt_from])
-        self._sched = _FiringSchedule(flat, alive, self._weights, dt_from)
+        self._sched = _FiringSchedule(flat, alive, self._times, dt_from)
 
     def _bias_settled(self, t: int) -> bool:
         """Whether the one-shot stage bias has been injected by step ``t``."""
@@ -464,9 +665,15 @@ class TTFSNeurons(NeuronDynamics):
         return self._monotone
 
     def drain_fire_events(
-        self, t: int, drive: np.ndarray | None = None
-    ) -> SpikePacket | None:
-        """Emit every remaining scheduled spike as a single packet.
+        self,
+        t: int,
+        drive: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+        threshold: float = 1.0,
+        workspace=None,
+    ) -> tuple[SpikePacket | np.ndarray | None, int]:
+        """Emit every remaining scheduled spike at once; returns
+        ``(spikes, count)``.
 
         Calling this carries the ``note_input_exhausted`` contract — the
         caller guarantees no drive arrives after step ``t`` beyond the
@@ -476,8 +683,15 @@ class TTFSNeurons(NeuronDynamics):
         when no downstream stage reads its membrane before this stage's
         fire window ends.  Fire-once semantics make the event positions
         unique, so the receiver's merged drive is bit-identical to per-step
-        bucket delivery; events leave in row-major order with per-event
-        kernel weights and are latched fired.
+        bucket delivery; spikes carry per-event kernel weights and are
+        latched fired.
+
+        They leave as one row-major packet unless ``out`` (shaped like the
+        population) is given and their density exceeds ``threshold`` — the
+        receiver's calibrated event-kernel threshold — in which case the
+        dense weighted tensor is written into ``out`` (which may be
+        ``drive`` itself: it is integrated first); ``workspace`` supplies
+        shared scratch (:func:`_drain`).
         """
         if self._fired is None:
             raise RuntimeError("reset() must be called before drain_fire_events()")
@@ -490,27 +704,21 @@ class TTFSNeurons(NeuronDynamics):
         u = self._require_state()
         if drive is not None:
             u += drive
+        self._sched = None  # the schedule is spent; step() now sees all-fired
         n = u.shape[0]
         dt_from = max(t + 1 - self.window.fire_start, 0)
         if dt_from >= self.window.fire_window:
-            return None
-        flat = u.reshape(n, -1)
-        fired_flat = self._fired.reshape(n, -1)
-        alive = (~fired_flat) & (flat >= self._floor[dt_from])
-        rows, idx = np.divmod(np.flatnonzero(alive), alive.shape[1])
-        if rows.shape[0] == 0:
-            return None
-        fire_dt = np.searchsorted(-self._weights, -flat[rows, idx], side="left")
-        np.maximum(fire_dt, dt_from, out=fire_dt)
-        fired_flat[rows, idx] = True
-        self._sched = None  # the schedule is spent; step() now sees all-fired
-        return SpikePacket(
-            rows=rows,
-            idx=idx,
-            weights=self._weights[fire_dt],
-            batch=n,
-            shape=self.shape,
-            unique=True,
+            return None, 0
+        return _drain(
+            self._times,
+            u.reshape(n, -1),
+            self._fired.reshape(n, -1),
+            self._floor[dt_from],
+            dt_from,
+            self.shape,
+            out,
+            threshold,
+            workspace,
         )
 
     def row_quiescent(self, t: int) -> np.ndarray | None:

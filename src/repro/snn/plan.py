@@ -169,8 +169,10 @@ def _random_packet(rng, batch: int, shape: tuple[int, ...], density: float, dtyp
     )
 
 
-def _best_times(fns, repeats: int = 2) -> list[float]:
-    """Best-of-``repeats`` wall time of each kernel, timed alternately.
+def _best_times(fns, repeats: int = 2, clock=time.perf_counter) -> tuple[list[float], float]:
+    """Best-of-``repeats`` wall time of each kernel, timed alternately, and
+    the repeat-to-repeat spread: the kernels' max-min gaps, summed — the
+    noise a difference of two best times can carry.
 
     Interleaving exposes the kernels to the same scheduler noise, so a slow
     spell on a shared machine cannot flip the comparison by landing on one
@@ -178,22 +180,44 @@ def _best_times(fns, repeats: int = 2) -> list[float]:
     """
     for fn in fns:
         fn()  # warm caches (im2col indices, BLAS threads, arena buffers)
-    best = [np.inf] * len(fns)
+    times: list[list[float]] = [[] for _ in fns]
     for _ in range(repeats):
         for i, fn in enumerate(fns):
-            t0 = time.perf_counter()
+            t0 = clock()
             fn()
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return best
+            times[i].append(clock() - t0)
+    return [min(t) for t in times], sum(max(t) - min(t) for t in times)
+
+
+def _threshold_from_timings(timings, default: float) -> float:
+    """The density threshold a stage's probe timings call for.
+
+    ``timings`` holds ``(density, event_s, gemm_s, spread_s)`` per probe.
+    The event kernel wins a probe only by more than the spread its timings
+    showed from repeat to repeat; a closer call is noise, and the GEMM —
+    whose cost does not depend on the spikes — keeps the probe, so near-tie
+    stages calibrate the same way on every compile.  The threshold lands
+    at the crossover between the densities the event kernel wins (below)
+    and the ones it loses (above); wins above a loss (a non-monotone
+    pattern) fall back to ``default``.
+    """
+    wins = [d for d, te, tg, spread in timings if tg - te > spread]
+    losses = [d for d, te, tg, spread in timings if tg - te <= spread]
+    if not losses:
+        return 1.0
+    if not wins:
+        return 0.0
+    if max(wins) < min(losses):
+        return 0.5 * (max(wins) + min(losses))
+    return default
 
 
 def _calibrate_stage(pstage: StagePlan, batch: int, dtype, densities, default: float):
     """Pick a stage's density threshold by timing both kernels.
 
     Probes the event-scatter and arena-GEMM kernels at each observed flush
-    density and places the threshold at the measured crossover: below it the
-    event kernel wins, above it the GEMM does.  A non-monotone timing
-    pattern (scheduler noise) falls back to the engine's global default.
+    density and places the threshold at the measured crossover
+    (:func:`_threshold_from_timings`).
     """
     rng = np.random.default_rng(0xC0FFEE + pstage.index)
     points = sorted({min(max(float(d), 1e-4), 1.0) for d in densities})
@@ -204,7 +228,7 @@ def _calibrate_stage(pstage: StagePlan, batch: int, dtype, densities, default: f
     for d in points:
         packet = _random_packet(rng, batch, pstage.in_shape, d, dtype)
         dense = packet.to_dense()
-        t_event, t_gemm = _best_times(
+        (t_event, t_gemm), spread = _best_times(
             [
                 lambda: ev.apply_stage_events(
                     pstage.stage, packet, pstage.workspace, pstage.index
@@ -212,24 +236,16 @@ def _calibrate_stage(pstage: StagePlan, batch: int, dtype, densities, default: f
                 lambda: pstage.apply_dense(dense),
             ]
         )
-        timings.append((d, t_event, t_gemm))
-    wins = [d for d, te, tg in timings if te < tg]
-    losses = [d for d, te, tg in timings if te >= tg]
-    if not losses:
-        threshold = 1.0
-    elif not wins:
-        threshold = 0.0
-    elif max(wins) < min(losses):
-        threshold = 0.5 * (max(wins) + min(losses))
-    else:  # noisy / non-monotone: keep the engine's global default
-        threshold = default
-    pstage.threshold = float(threshold)
+        timings.append((d, t_event, t_gemm, spread))
+    threshold = float(_threshold_from_timings(timings, default))
+    pstage.threshold = threshold
     pstage.calibration = {
         "densities": points,
         "timings": [
-            {"density": d, "event_s": te, "gemm_s": tg} for d, te, tg in timings
+            {"density": d, "event_s": te, "gemm_s": tg, "spread_s": sp}
+            for d, te, tg, sp in timings
         ],
-        "threshold": float(threshold),
+        "threshold": threshold,
     }
 
 
@@ -401,6 +417,30 @@ class ExecutionPlan:
             return self._run_phased(x, y, timer)
         return self.simulator._run(x, y, plan=self, timer=timer)
 
+    def _drain_target(
+        self,
+        receiver: StagePlan,
+        inbox: _DriveBuffer,
+        shape: tuple[int, ...],
+        dtype,
+        consumed: np.ndarray | None = None,
+    ) -> dict:
+        """Keyword arguments of a bulk drain towards ``receiver``.
+
+        The drain goes dense exactly when ``receiver.threshold`` would send
+        its packet through the GEMM (the kernel decision ``_propagate``
+        makes), writing into ``consumed`` — the draining stage's drive,
+        integrated and dead until that stage's next flush — or, without
+        one, into the receiver's own arena buffer, which lives until the
+        receiver flushes it.  A receiver with input already pending keeps
+        packets: its buffer merges them itself.
+        """
+        if not inbox.empty:
+            return {}
+        if consumed is None:
+            consumed = self.workspace.buffer(("drain", receiver.index), shape, dtype)
+        return {"out": consumed, "threshold": receiver.threshold, "workspace": self.workspace}
+
     def _run_phased(
         self,
         x: np.ndarray,
@@ -460,6 +500,10 @@ class ExecutionPlan:
         horizon = min(bound.total_steps, max(enc_end, windows[-1].fire_end))
         buffers = [_DriveBuffer() for _ in spiking_stages]
         readout_buffer = _DriveBuffer()
+        # receivers[s] / inboxes[s]: the plan and drive buffer of source s's
+        # receiver (s = 0 the encoder, s = i + 1 spiking stage i).
+        receivers = [*self.stage_plans, self.readout_plan]
+        inboxes = [*buffers, readout_buffer]
 
         # Bulk drains (fire-once schemes): a source whose receiver does not
         # read its membrane before the source's window ends can emit its
@@ -488,7 +532,9 @@ class ExecutionPlan:
             and getattr(encoder, "can_drain", None) is not None
             and encoder.can_drain()
         ):
-            packet, count = ev.ingest(encoder.drain_events(), pack_threshold)
+            packet, count = encoder.drain_events(
+                **self._drain_target(receivers[0], inboxes[0], x.shape, compute_dtype)
+            )
             if bound.counts_input_spikes:
                 counts["input"] += float(count)
             if packet is not None:
@@ -531,8 +577,16 @@ class ExecutionPlan:
                     # so the potentials are final before the first fire
                     # step — the whole fire window leaves as one packet.
                     drive = sim._flush(stage, buffers[i], self.stage_plans[i])
-                    spikes, count = ev.ingest(
-                        dyn.drain_fire_events(t - 1, drive), pack_threshold
+                    spikes, count = dyn.drain_fire_events(
+                        t - 1,
+                        drive,
+                        **self._drain_target(
+                            receivers[i + 1],
+                            inboxes[i + 1],
+                            (n, *stage.out_shape),
+                            compute_dtype,
+                            drive,
+                        ),
                     )
                     counts[stage.name] += float(count)
                     noted[i] = True
@@ -557,13 +611,18 @@ class ExecutionPlan:
                 dyn = bound.dynamics[i]
                 noted[i] = True
                 if drain_ok[i] and getattr(dyn, "can_drain", None) and dyn.can_drain():
-                    packet, count = ev.ingest(dyn.drain_fire_events(t), pack_threshold)
+                    packet, count = dyn.drain_fire_events(
+                        t,
+                        **self._drain_target(
+                            receivers[i + 1],
+                            inboxes[i + 1],
+                            (n, *spiking_stages[i].out_shape),
+                            compute_dtype,
+                        ),
+                    )
                     counts[spiking_stages[i].name] += float(count)
                     if packet is not None:
-                        if i + 1 < num_stages:
-                            buffers[i + 1].add(packet)
-                        else:
-                            readout_buffer.add(packet)
+                        inboxes[i + 1].add(packet)
                     done[i] = True
                 else:
                     dyn.note_input_exhausted(t)

@@ -7,6 +7,8 @@ from repro.coding.ttfs import TTFSCoding, TTFSInputEncoder, TTFSNeurons
 from repro.core.encoding import NO_SPIKE, encode_spike_times
 from repro.core.kernels import ExpKernel, KernelParams
 from repro.snn.engine import Simulator
+from repro.snn.events import SpikePacket
+from repro.snn.plan import Workspace
 from repro.snn.schedule import StageWindow
 
 
@@ -133,6 +135,116 @@ class TestTTFSNeurons:
         for t in range(4, 12):
             n.step(None, t)
         assert n.spike_fraction() == 0.5
+
+
+class TestBulkDrains:
+    """``drain_events`` / ``drain_fire_events``: the dense path writes
+    exactly the packet path's ``to_dense()`` and the per-step emissions."""
+
+    WINDOW = StageWindow(integration_start=0, fire_start=8, fire_end=24)
+
+    def population(self):
+        return TTFSNeurons(
+            (3, 4, 4), bias=0.0, window=self.WINDOW, kernel=kernel(tau=3.0), emit_events=True
+        )
+
+    def stepped(self, drive):
+        """Per-step reference emissions of a fresh population."""
+        n = self.population()
+        n.reset(drive.shape[0])
+        n.step(drive, 0)
+        total = np.zeros(drive.shape)
+        for t in range(self.WINDOW.fire_start, self.WINDOW.fire_end):
+            s = n.step(None, t)
+            if s is not None:
+                total += s.to_dense()
+        return total
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_encoder_dense_drain_matches_packet_and_steps(self, rng, dtype):
+        x = (rng.random((4, 2, 5, 5)) * (rng.random((4, 2, 5, 5)) > 0.3)).astype(dtype)
+        steps = TTFSInputEncoder(kernel(), window=16, emit_events=True, dtype=dtype)
+        steps.reset(x)
+        reference = sum(s.to_dense() for t in range(16) if (s := steps.step(t)) is not None)
+        packed, dense = (
+            TTFSInputEncoder(kernel(), window=16, emit_events=True, dtype=dtype) for _ in range(2)
+        )
+        packed.reset(x)
+        dense.reset(x)
+        packet, count = packed.drain_events()
+        out = np.full(x.shape, np.nan, dtype=dtype)
+        got, dense_count = dense.drain_events(out=out, threshold=0.0, workspace=Workspace())
+        assert isinstance(packet, SpikePacket) and got is out
+        assert count == dense_count == packet.count == int(np.count_nonzero(reference))
+        np.testing.assert_array_equal(out, packet.to_dense())
+        np.testing.assert_array_equal(out, reference)
+        np.testing.assert_array_equal(packed._fired, dense._fired)
+
+    @pytest.mark.parametrize("t", [7, 12])  # before the fire phase / mid-way
+    def test_neuron_dense_drain_matches_packet_and_steps(self, rng, t):
+        drive = rng.normal(0.3, 0.5, size=(5, 3, 4, 4))
+        t_from = max(t + 1, self.WINDOW.fire_start)
+        reference = self.stepped(drive)
+        results = []
+        for out in (None, np.full(drive.shape, np.nan)):
+            n = self.population()
+            n.reset(drive.shape[0])
+            n.step(drive, 0)
+            emitted = np.zeros(drive.shape)
+            for step in range(self.WINDOW.fire_start, t_from):
+                s = n.step(None, step)  # per-step firing up to the drain point
+                if s is not None:
+                    emitted += s.to_dense()
+            spikes, count = n.drain_fire_events(t, out=out, threshold=0.0, workspace=Workspace())
+            dense = spikes if out is not None else spikes.to_dense()
+            assert count == int(np.count_nonzero(dense))
+            np.testing.assert_array_equal(emitted + dense, reference)
+            results.append((dense, n._fired.copy()))
+        (packet_dense, packet_fired), (dense, fired) = results
+        np.testing.assert_array_equal(dense, packet_dense)
+        np.testing.assert_array_equal(fired, packet_fired)
+
+    def test_dense_drain_writes_a_strided_output(self, rng):
+        """The drain may write into a conv's transposed GEMM output view."""
+        drive = rng.normal(0.3, 0.5, size=(5, 3, 4, 4))
+        packed, strided = self.population(), self.population()
+        for n in (packed, strided):
+            n.reset(5)
+        packet, _ = packed.drain_fire_events(7, drive.copy())
+        out = np.full((3, 5, 4, 4), np.nan).transpose(1, 0, 2, 3)
+        got, _ = strided.drain_fire_events(7, drive.copy(), out=out, threshold=0.0)
+        assert got is out and not out.flags.c_contiguous
+        np.testing.assert_array_equal(out, packet.to_dense())
+
+    def test_drain_output_may_be_the_integrated_drive(self, rng):
+        drive = rng.normal(0.3, 0.5, size=(5, 3, 4, 4))
+        packed, aliased = self.population(), self.population()
+        for n in (packed, aliased):
+            n.reset(5)
+        packet, _ = packed.drain_fire_events(7, drive.copy())
+        consumed = drive.copy()
+        got, _ = aliased.drain_fire_events(7, consumed, out=consumed, threshold=0.0)
+        assert got is consumed
+        np.testing.assert_array_equal(consumed, packet.to_dense())
+
+    def test_receiver_threshold_picks_the_form(self, rng):
+        """Packet at or below the receiver's threshold, dense above it."""
+        drive = rng.normal(0.3, 0.5, size=(5, 3, 4, 4))
+        kinds = []
+        for threshold in (1.0, 0.0):
+            n = self.population()
+            n.reset(5)
+            spikes, count = n.drain_fire_events(
+                7, drive.copy(), out=np.empty(drive.shape), threshold=threshold
+            )
+            assert 0 < count < drive.size
+            kinds.append(type(spikes))
+        assert kinds == [SpikePacket, np.ndarray]
+
+    def test_silent_drain_returns_nothing(self):
+        n = self.population()
+        n.reset(2)
+        assert n.drain_fire_events(7, np.full((2, 3, 4, 4), -1.0)) == (None, 0)
 
 
 class TestTTFSCodingScheme:

@@ -26,8 +26,9 @@ from repro.coding.burst import BurstCoding
 from repro.coding.phase import PhaseCoding
 from repro.coding.rate import RateCoding
 from repro.coding.reverse import ReverseCoding
-from repro.coding.ttfs import TTFSCoding
+from repro.coding.ttfs import TTFSCoding, TTFSInputEncoder, TTFSNeurons
 from repro.snn import events as ev
+from repro.snn import plan as plan_mod
 from repro.snn.engine import Simulator
 from repro.snn.plan import Workspace
 
@@ -203,6 +204,85 @@ class TestPlanParity:
         np.testing.assert_array_equal(got.predictions, ref.predictions)
 
 
+def pinned_plan(tiny_network, threshold: float, batch_size: int = 8):
+    """A baseline TTFS plan with every stage's threshold pinned: 0.0 sends
+    every bulk drain dense (GEMM receivers), 1.0 keeps them packets."""
+    plan = Simulator(tiny_network, TTFSCoding(window=16)).compile(
+        batch_size=batch_size, calibrate=False
+    )
+    for pstage in [*plan.stage_plans, plan.readout_plan]:
+        pstage.threshold = threshold
+    return plan
+
+
+@pytest.fixture()
+def drain_log(monkeypatch):
+    """Records the form (packet or dense array) of every bulk drain."""
+    log = []
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def recording(self, *args, **kwargs):
+            spikes, count = original(self, *args, **kwargs)
+            log.append(type(spikes))
+            return spikes, count
+
+        monkeypatch.setattr(cls, name, recording)
+
+    spy(TTFSInputEncoder, "drain_events")
+    spy(TTFSNeurons, "drain_fire_events")
+    return log
+
+
+class TestDenseDrain:
+    """Baseline bulk drains go dense exactly when the receiving stage's
+    threshold sends them through the GEMM — with the reference's results."""
+
+    @pytest.mark.parametrize("threshold, form", [(0.0, np.ndarray), (1.0, ev.SpikePacket)])
+    def test_pinned_plan_matches_reference(
+        self, tiny_network, tiny_data, drain_log, threshold, form
+    ):
+        x, y = tiny_data[2][:21], tiny_data[3][:21]
+        ref = reference(tiny_network, lambda: TTFSCoding(window=16), None, x, y)
+        got = pinned_plan(tiny_network, threshold).run_batched(x, y, batch_size=8)
+        # encoder + 2 spiking stages, for each of the 3 mini-batches
+        assert drain_log == [form] * 9
+        np.testing.assert_array_equal(got.predictions, ref.predictions)
+        assert got.spike_counts == ref.spike_counts
+        np.testing.assert_allclose(got.scores, ref.scores, rtol=1e-9, atol=1e-12)
+
+    def test_back_to_back_runs_match_fresh_plans(self, tiny_network, tiny_data, drain_log):
+        """Dense drains overwrite the drained stage's consumed drive view and
+        the receivers' arena buffers; nothing of one run leaks into the next."""
+        inputs = [tiny_data[2][:8], tiny_data[2][8:16], tiny_data[2][16:21], tiny_data[2][:8]]
+        plan = pinned_plan(tiny_network, 0.0)
+        reused = [plan.run(x) for x in inputs]
+        assert set(drain_log) == {np.ndarray}
+        for x, got in zip(inputs, reused):
+            fresh = pinned_plan(tiny_network, 0.0).run(x)
+            np.testing.assert_array_equal(got.scores, fresh.scores)
+            assert got.spike_counts == fresh.spike_counts
+
+    def test_dense_drain_reuses_the_consumed_drive(self, tiny_network, tiny_data, monkeypatch):
+        """A stage drained right after its last flush writes its spikes into
+        that flush's drive; only the encoder needs a receiver arena buffer."""
+        plan = pinned_plan(tiny_network, 0.0)
+        aliased = []
+        original = TTFSNeurons.drain_fire_events
+
+        def recording(self, t, drive=None, **kwargs):
+            spikes, count = original(self, t, drive, **kwargs)
+            aliased.append(spikes is drive)
+            return spikes, count
+
+        monkeypatch.setattr(TTFSNeurons, "drain_fire_events", recording)
+        plan.run(tiny_data[2][:8])
+        assert aliased == [True] * len(plan.stage_plans)
+        drains = [key for key in plan.workspace._buffers if key[0] == "drain"]
+        assert drains == [("drain", 0)]
+
+
 class TestCalibration:
     def test_calibration_records_probed_densities(self, tiny_network):
         plan = Simulator(tiny_network, TTFSCoding(window=16)).compile(
@@ -212,6 +292,67 @@ class TestCalibration:
             assert pstage.calibration is not None
             assert 0.0 <= pstage.threshold <= 1.0
         assert "operator=" in plan.describe()
+
+    def test_best_times_measures_the_repeat_spread(self):
+        now = [0.0]
+        durations = {"event": iter([9.0, 1.0, 1.4]), "gemm": iter([9.0, 2.1, 2.0])}
+
+        def kernel(name):
+            def run():
+                now[0] += next(durations[name])  # warm-up, then two repeats
+
+            return run
+
+        best, spread = plan_mod._best_times(
+            [kernel("event"), kernel("gemm")], repeats=2, clock=lambda: now[0]
+        )
+        assert best == [1.0, 2.0]
+        assert spread == pytest.approx(0.4 + 0.1)
+
+    @pytest.mark.parametrize(
+        "event_s, gemm_s, spread_s, threshold",
+        [
+            (0.5, 0.625, 0.25, 0.0),  # a win inside the spread: GEMM
+            (0.5, 0.75, 0.25, 0.0),  # a win of exactly the spread: GEMM
+            (0.5, 0.875, 0.25, 1.0),  # a win beyond the spread: event
+            (0.75, 0.5, 0.0, 0.0),  # a loss: GEMM
+        ],
+    )
+    def test_a_win_within_the_spread_keeps_the_gemm(self, event_s, gemm_s, spread_s, threshold):
+        timings = [(0.5, event_s, gemm_s, spread_s)]
+        assert plan_mod._threshold_from_timings(timings, 0.1) == threshold
+
+    def test_threshold_lands_at_the_crossover(self):
+        timings = [
+            (0.01, 0.1e-3, 1.0e-3, 0.05e-3),
+            (0.2, 0.5e-3, 1.0e-3, 0.05e-3),
+            (0.6, 0.98e-3, 1.0e-3, 0.05e-3),  # a near tie: GEMM
+            (0.9, 1.5e-3, 1.0e-3, 0.05e-3),
+        ]
+        assert plan_mod._threshold_from_timings(timings, 0.1) == pytest.approx(0.4)
+        # A tie below a clear win is not a crossover: keep the default.
+        timings[0] = (0.01, 0.99e-3, 1.0e-3, 0.05e-3)
+        assert plan_mod._threshold_from_timings(timings, 0.1) == 0.1
+
+    @pytest.mark.parametrize(
+        "times, spread, threshold",
+        [([1.0e-3, 1.05e-3], 0.1e-3, 0.0), ([1.0e-3, 2.0e-3], 0.1e-3, 1.0)],
+    )
+    def test_calibrate_stage_applies_the_rule(
+        self, tiny_network, monkeypatch, times, spread, threshold
+    ):
+        """Injected kernel timings: a near tie calibrates to the GEMM on
+        every compile, a clear event win to the event kernel."""
+        plan = Simulator(tiny_network, TTFSCoding(window=16)).compile(
+            batch_size=4, calibrate=False
+        )
+        monkeypatch.setattr(plan_mod, "_best_times", lambda fns: (times, spread))
+        pstage = plan.readout_plan
+        plan_mod._calibrate_stage(pstage, 4, np.float64, [0.5], 0.1)
+        assert pstage.threshold == threshold
+        assert pstage.calibration["timings"] == [
+            {"density": 0.5, "event_s": times[0], "gemm_s": times[1], "spread_s": spread}
+        ]
 
     def test_uncalibrated_keeps_global_threshold(self, tiny_network):
         sim = Simulator(tiny_network, TTFSCoding(window=16), density_threshold=0.07)
@@ -298,6 +439,48 @@ class TestZeroAllocationSteadyState:
         assert plan.workspace.allocations == allocs
         np.testing.assert_array_equal(result.predictions, reference.predictions)
         assert result.spike_counts == reference.spike_counts
+
+    def test_dense_drains_allocate_nothing_stage_sized(
+        self, tiny_network, tiny_data, monkeypatch
+    ):
+        """With every receiver on the GEMM, each bulk drain writes a dense
+        tensor into a buffer the plan owns: steady-state runs make no arena
+        allocations, and no drain allocates anything near its stage's size
+        (its scratch is shared arena storage)."""
+        x = tiny_data[2][:64]
+        plan = pinned_plan(tiny_network, 0.0, batch_size=64)
+        plan.run(x)  # warmup sizes every buffer
+        allocs = plan.workspace.allocations
+        peaks = []
+
+        def traced(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                spikes, count = original(self, *args, **kwargs)
+                peaks.append((tracemalloc.get_traced_memory()[1] - before, spikes.nbytes))
+                return spikes, count
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        traced(TTFSInputEncoder, "drain_events")
+        traced(TTFSNeurons, "drain_fire_events")
+        # numpy's per-call ufunc buffers (casting, strided operands) hold at
+        # most bufsize elements; shrink them so they cannot pass for a
+        # stage-sized temporary on this tiny network.
+        bufsize = np.setbufsize(64)
+        tracemalloc.start()
+        try:
+            plan.run(x)
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert plan.workspace.allocations == allocs
+        assert len(peaks) == 1 + len(plan.stage_plans)
+        for peak, stage_bytes in peaks:
+            assert peak < stage_bytes / 8, (peak, stage_bytes)
 
     def test_no_net_heap_growth_across_runs(self, tiny_network, tiny_data):
         """tracemalloc: after warmup, further compiled runs retain no new
