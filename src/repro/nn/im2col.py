@@ -19,7 +19,6 @@ __all__ = [
     "im2col",
     "col2im",
     "im2col_indices",
-    "im2col_flat_indices",
     "reverse_im2col_indices",
 ]
 
@@ -76,27 +75,6 @@ def im2col(
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
     return x[:, k, i, j]
-
-
-@lru_cache(maxsize=256)
-def im2col_flat_indices(
-    channels: int, height: int, width: int, kernel_h: int, kernel_w: int,
-    stride: int, pad: int,
-) -> np.ndarray:
-    """Flat per-sample gather indices for the workspace-arena im2col.
-
-    Flattens :func:`im2col_indices` into one ``(C*KH*KW * out_h*out_w,)``
-    index vector into a *padded* sample's raveled storage —
-    ``Conv2D.infer_ws`` offsets it per batch row so the whole unroll is a
-    single ``np.take(..., out=..., mode="clip")`` straight into the GEMM
-    operand, with no intermediate arrays.
-    """
-    k, i, j, _, _ = im2col_indices(
-        channels, height, width, kernel_h, kernel_w, stride, pad
-    )
-    wp = width + 2 * pad
-    hp = height + 2 * pad
-    return (k * (hp * wp) + i * wp + j).reshape(-1)
 
 
 @lru_cache(maxsize=256)

@@ -22,9 +22,10 @@ Design notes relevant to the SNN conversion downstream:
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import initializers
-from repro.nn.im2col import col2im, conv_output_size, im2col, im2col_flat_indices
+from repro.nn.im2col import col2im, conv_output_size, im2col
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -97,15 +98,14 @@ class Layer:
     def infer_ws(self, x: np.ndarray, ws, key) -> np.ndarray:
         """:meth:`infer` through a workspace arena (zero steady-state allocs).
 
-        ``ws`` is duck-typed with ``buffer(key, shape, dtype) -> ndarray``
-        returning persistent preallocated storage and ``cache(key, factory)``
-        memoizing compile-time constants (the SNN plan's
-        :class:`~repro.snn.plan.Workspace`); ``key`` namespaces this layer's
-        buffers within it.  Results are bit-identical to :meth:`infer` — the
-        heavy layers override this to run im2col and GEMM into arena buffers
-        and may return views into them, valid until the layer's next
-        ``infer_ws`` call on the same workspace.  The default ignores the
-        workspace.
+        ``ws`` is duck-typed with ``buffer(key, shape, dtype, zeroed=False)
+        -> ndarray`` returning persistent preallocated storage (the SNN
+        plan's :class:`~repro.snn.plan.Workspace`); ``key`` namespaces this
+        layer's buffers within it.  Results are bit-identical to
+        :meth:`infer` — the heavy layers override this to run the same
+        kernel with its scratch and output in arena buffers, and may return
+        views into them, valid until the layer's next ``infer_ws`` call on
+        the same workspace.  The default ignores the workspace.
         """
         return self.infer(x)
 
@@ -278,78 +278,78 @@ class Conv2D(Layer):
         return self._apply(x.shape, cols)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        cols = im2col(x, self.kernel_h, self.kernel_w, self.stride, self.pad)
-        n, k, length = cols.shape
-        out_h = conv_output_size(x.shape[2], self.kernel_h, self.stride, self.pad)
-        out_w = conv_output_size(x.shape[3], self.kernel_w, self.stride, self.pad)
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        # One large GEMM over the whole batch instead of einsum's batched
-        # matmul — measurably faster for the SNN engine's flush-sized batches
-        # (the training path keeps einsum so backward caches stay aligned).
-        big = cols.transpose(1, 0, 2).reshape(k, n * length)
-        out = (w_mat @ big).reshape(self.out_channels, n, out_h, out_w)
-        out = out.transpose(1, 0, 2, 3)  # view; consumers only accumulate
-        if self.bias is not None:
-            out = out + self.bias.data.reshape(1, -1, 1, 1)
-        return out
+        """The windowed per-sample GEMM of :meth:`infer_ws`, into fresh buffers."""
+        block, padded, out, dtype = self._infer_shapes(x)
+        return self._infer_into(
+            x,
+            np.empty(block, dtype),
+            None if padded is None else np.zeros(padded, dtype),
+            np.empty(out, dtype),
+        )
 
     def infer_ws(self, x: np.ndarray, ws, key) -> np.ndarray:
-        """Arena :meth:`infer`: one gather straight into the GEMM operand.
+        """Arena :meth:`infer`: the same kernel, scratch and output from ``ws``.
 
-        The im2col unroll lands directly in ``(C*KH*KW, N*L)`` layout via a
-        cached absolute-index table (the batched gather indices of every
-        receptive-field element), skipping the transpose copy the plain
-        :meth:`infer` pays; the GEMM writes into a persistent arena buffer.
-        The gather uses ``mode="clip"`` — indices are in-bounds by
-        construction, and skipping numpy's per-element bounds check makes
-        the gather ~2.5x faster.  Bit-identical to :meth:`infer` — same
-        gathered values, same BLAS call.  The sparse event kernel
-        (``repro.snn.events``) reuses this key's ``"big"`` and ``"gemm"``
-        buffers for its accumulator and drive.
+        Per sample, the receptive fields are copied from a read-only
+        sliding-window view of the (padded) sample into a one-sample
+        ``(C*KH*KW, L)`` im2col block, and one ``np.matmul`` writes
+        ``W @ block`` straight into that sample's slice of a C-contiguous
+        ``(N, F, H, W)`` drive.  The scratch is one sample — cache-sized —
+        at any batch.  Bit-identical to
+        :meth:`infer` by construction: both run the same copies and the
+        same BLAS calls.  The sparse event kernel (``repro.snn.events``)
+        writes its drive into this key's ``"gemm"`` buffer, in the same
+        layout.
         """
+        block, padded, out, dtype = self._infer_shapes(x)
+        return self._infer_into(
+            x,
+            ws.buffer((key, "im2col"), block, dtype),
+            # Zeroed once; only the interior is rewritten, so the border
+            # stays zero across samples and calls.
+            None if padded is None else ws.buffer((key, "pad"), padded, dtype, zeroed=True),
+            ws.buffer((key, "gemm"), out, dtype),
+        )
+
+    def _infer_shapes(self, x: np.ndarray):
+        """Shapes of the im2col block, the padded sample (``None`` without
+        padding) and the output, and the compute dtype."""
         n, c, h, w = x.shape
-        kh, kw, stride, pad = self.kernel_h, self.kernel_w, self.stride, self.pad
-        out_h = conv_output_size(h, kh, stride, pad)
-        out_w = conv_output_size(w, kw, stride, pad)
-        f = self.out_channels
-        k = c * kh * kw
-        length = out_h * out_w
-        dtype = self.weight.data.dtype
-        if pad > 0:
-            # Created zeroed; only the interior is rewritten, so the border
-            # stays zero across reuses (per-sample layout is key-stable).
-            padded = ws.buffer(
-                (key, "pad"), (n, c, h + 2 * pad, w + 2 * pad), dtype, zeroed=True
-            )
-            padded[:, :, pad:-pad, pad:-pad] = x
-            src = padded
+        kh, kw, pad = self.kernel_h, self.kernel_w, self.pad
+        out_h = conv_output_size(h, kh, self.stride, pad)
+        out_w = conv_output_size(w, kw, self.stride, pad)
+        padded = (c, h + 2 * pad, w + 2 * pad) if pad > 0 else None
+        return (
+            (c, kh, kw, out_h, out_w),
+            padded,
+            (n, self.out_channels, out_h, out_w),
+            np.result_type(x.dtype, self.weight.data.dtype),
+        )
+
+    def _infer_into(self, x, block, padded, out) -> np.ndarray:
+        """Fill ``out`` sample by sample: receptive fields into ``block``, then
+        one ``W @ block`` GEMM into the sample's ``(F, L)`` slice."""
+        n, _, h, w = x.shape
+        f, length = self.out_channels, out.shape[2] * out.shape[3]
+        s, pad, kernel = self.stride, self.pad, (self.kernel_h, self.kernel_w)
+        w_mat = self.weight.data.reshape(f, -1).astype(block.dtype, copy=False)
+        operand = block.reshape(-1, length)
+        if padded is None:
+            fields = sliding_window_view(x, kernel, (2, 3))[:, :, ::s, ::s]
+            fields = fields.transpose(0, 1, 4, 5, 2, 3)  # (N, C, KH, KW, H', W')
         else:
-            src = x if x.flags.c_contiguous else np.ascontiguousarray(x)
-        flat_idx = im2col_flat_indices(c, h, w, kh, kw, stride, pad)
-        sample = c * (h + 2 * pad) * (w + 2 * pad)
-
-        def build_indices():
-            offs = np.arange(n, dtype=np.int64) * sample
-            return (
-                offs[None, :, None] + flat_idx.reshape(k, 1, length)
-            ).reshape(k, n * length)
-
-        # One capacity-sized table per stage: columns are sample-major, so a
-        # smaller batch is exactly the leading-column slice — retirement and
-        # ragged batches never cache additional tables.
-        idx = ws.cache((key, "gather"), build_indices)
-        if idx.shape[1] < n * length:
-            idx = ws.cache_put((key, "gather"), build_indices())
-        elif idx.shape[1] > n * length:
-            idx = idx[:, : n * length]
-        big = ws.buffer((key, "big"), (k, n * length), dtype)
-        np.take(src.reshape(-1), idx, out=big, mode="clip")
-        gout = ws.buffer((key, "gemm"), (f, n * length), dtype)
-        w_mat = self.weight.data.reshape(f, -1)
-        np.matmul(w_mat, big, out=gout)
-        out = gout.reshape(f, n, out_h, out_w).transpose(1, 0, 2, 3)
+            interior = padded[:, pad : pad + h, pad : pad + w]
+            fields = sliding_window_view(padded, kernel, (1, 2))[:, ::s, ::s]
+            fields = fields.transpose(0, 3, 4, 1, 2)  # (C, KH, KW, H', W')
+        for i in range(n):
+            if padded is None:
+                np.copyto(block, fields[i])
+            else:
+                np.copyto(interior, x[i])
+                np.copyto(block, fields)
+            np.matmul(w_mat, operand, out=out[i].reshape(f, length))
         if self.bias is not None:
-            out = out + self.bias.data.reshape(1, -1, 1, 1)
+            out += self.bias.data.reshape(1, -1, 1, 1)
         return out
 
     def _apply(
@@ -430,13 +430,53 @@ class AvgPool2D(Layer):
         )
         return cols.mean(axis=1).reshape(n, c, out_h, out_w)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Inference pooling: a 2x2 pool runs the pairwise sum of
+        :meth:`infer_ws` into fresh buffers; other pools run :meth:`forward`."""
+        shape = self._pair_shape(x)
+        if shape is None:
+            return self.forward(x)
+        return self._pair_sum(x, np.empty(shape, x.dtype), np.empty(shape, x.dtype))
+
     def infer_ws(self, x: np.ndarray, ws, key) -> np.ndarray:
+        """Arena :meth:`infer`.
+
+        A 2x2 pool is ``((x00 + x01) + (x10 + x11)) * 0.25`` over the four
+        strided corner views, summed in arena buffers.  The arithmetic does
+        not depend on the input's strides (numpy's reduction order for
+        ``mean`` does), it is bit-identical to ``reshape(...).mean(axis=(3,
+        5))`` on a C-contiguous input with at least two output columns, and
+        it runs several times faster.  Other non-overlapping pools keep the
+        mean; ragged or overlapping pools fall back to :meth:`infer`.
+        """
+        shape = self._pair_shape(x)
+        if shape is not None:
+            return self._pair_sum(
+                x,
+                ws.buffer((key, "pool"), shape, x.dtype),
+                ws.buffer((key, "pool.pair"), shape, x.dtype),
+            )
         n, c, h, w = x.shape
         if not (self.stride == self.size and h % self.size == 0 and w % self.size == 0):
             return self.infer(x)  # ragged/overlapping pools are rare; stay simple
         out_h, out_w = h // self.size, w // self.size
         out = ws.buffer((key, "pool"), (n, c, out_h, out_w), x.dtype)
         x.reshape(n, c, out_h, self.size, out_w, self.size).mean(axis=(3, 5), out=out)
+        return out
+
+    def _pair_shape(self, x: np.ndarray) -> tuple[int, int, int, int] | None:
+        """Output shape when this is a 2x2 pool tiling a float ``x``, else None."""
+        n, c, h, w = x.shape
+        if (self.size, self.stride, h % 2, w % 2) != (2, 2, 0, 0):
+            return None
+        return (n, c, h // 2, w // 2) if np.issubdtype(x.dtype, np.floating) else None
+
+    @staticmethod
+    def _pair_sum(x: np.ndarray, out: np.ndarray, pair: np.ndarray) -> np.ndarray:
+        np.add(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], out=out)
+        np.add(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2], out=pair)
+        out += pair
+        out *= 0.25
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

@@ -336,11 +336,12 @@ def _conv2d_apply_events(
     full im2col volume, plus one pass over the dense output.
 
     ``ws``/``key`` (a :class:`~repro.snn.plan.Workspace` and the stage's
-    op key) place the accumulator and the returned drive in the arena,
-    aliasing ``Conv2D.infer_ws``'s im2col scratch and GEMM output: a flush
-    takes one of the two paths, and the drive follows the same ownership
-    rule as ``StagePlan.apply_dense`` (valid until the stage's next flush).
-    Without them both are freshly allocated.
+    op key) place the accumulator (its own ``"scatter_acc"`` buffer) and
+    the returned drive in the arena.  The drive is ``Conv2D.infer_ws``'s
+    ``"gemm"`` output buffer, in the same C-contiguous ``(N, F, H, W)``
+    layout: a flush takes one of the two paths, and the drive follows the
+    same ownership rule as ``StagePlan.apply_dense`` (valid until the
+    stage's next flush).  Without them both are freshly allocated.
     """
     c, h, w = packet.shape
     kh, kw = op.kernel_h, op.kernel_w
@@ -354,7 +355,7 @@ def _conv2d_apply_events(
         acc = np.zeros((n, length + 1, f), dtype=dtype)
         out = np.empty((n, f, out_h, out_w), dtype=dtype)
     else:
-        acc = ws.buffer((key, "big"), (n, length + 1, f), dtype)
+        acc = ws.buffer((key, "scatter_acc"), (n, length + 1, f), dtype)
         acc[...] = 0
         out = ws.buffer((key, "gemm"), (n, f, out_h, out_w), dtype)
     if packet.count:

@@ -10,12 +10,12 @@ everything the per-step loop otherwise re-decides:
   the wrong kernel for some stages (a prebuilt full synapse-CSR operator
   was measured as well and lost to both kernels at every probed density, so
   the calibrated operator set is {event-scatter, arena-GEMM}).
-* **Workspace arena.**  Drive/merge tensors, im2col and GEMM scratch, pool
-  outputs and (via :mod:`repro.snn.neurons`) membrane/readout state are
-  preallocated once per (batch, dtype) signature and reused across steps,
-  batches and runs; smaller batches (including retirement compaction) use
-  leading views of the same storage, so steady-state inference performs no
-  per-step heap allocations.
+* **Workspace arena.**  Drive/merge tensors, one-sample im2col blocks,
+  GEMM and pool outputs and (via :mod:`repro.snn.neurons`) membrane/readout
+  state are preallocated once per (batch, dtype) signature and reused
+  across steps, batches and runs; smaller batches (including retirement
+  compaction) use leading views of the same storage, so steady-state
+  inference performs no per-step heap allocations.
 * **Phased executor.**  Window-scheduled schemes (TTFS, reverse) declare
   their firing windows (``NeuronDynamics.phase_window`` /
   ``InputEncoder.emission_window``), which lets the compiled loop touch only
@@ -69,21 +69,7 @@ class Workspace:
     def __init__(self):
         self._buffers: dict = {}
         self._trailing: dict = {}
-        self._cache: dict = {}
         self.allocations = 0
-
-    def cache(self, key, factory):
-        """Memoized compile-time constant (e.g. gather index tables)."""
-        value = self._cache.get(key)
-        if value is None:
-            value = factory()
-            self._cache[key] = value
-        return value
-
-    def cache_put(self, key, value):
-        """Replace a cached constant (capacity growth) and return it."""
-        self._cache[key] = value
-        return value
 
     def buffer(self, key, shape, dtype, zeroed: bool = False) -> np.ndarray:
         """A persistent buffer of ``shape``/``dtype`` under ``key``.
@@ -107,8 +93,11 @@ class Workspace:
             self._trailing[key] = shape[1:]
         return base[:size].reshape(shape)
 
-    def nbytes(self) -> int:
-        """Total bytes currently held by the arena."""
+    def nbytes(self, key=None) -> int:
+        """Bytes held by the arena, or under ``key`` alone (0 if unused)."""
+        if key is not None:
+            base = self._buffers.get(key)
+            return 0 if base is None else base.nbytes
         return sum(b.nbytes for b in self._buffers.values())
 
 
@@ -137,10 +126,10 @@ class StagePlan:
     def apply_dense(self, x: np.ndarray) -> np.ndarray:
         """The stage's dense linear ops through the workspace arena.
 
-        Bit-identical to ``ConvertedStage.apply`` (same gathers, same BLAS
-        calls) with every intermediate landing in persistent buffers; the
-        returned drive may be a view into the arena, valid until this
-        stage's next flush.
+        Bit-identical to ``ConvertedStage.apply`` (each op's ``infer_ws``
+        runs the same kernel as its ``infer``) with every intermediate
+        landing in persistent buffers; the returned drive may be a view
+        into the arena, valid until this stage's next flush.
         """
         out = x
         for j, op in enumerate(self.stage.ops):
@@ -179,7 +168,7 @@ def _best_times(fns, repeats: int = 2, clock=time.perf_counter) -> tuple[list[fl
     kernel's timings only.
     """
     for fn in fns:
-        fn()  # warm caches (im2col indices, BLAS threads, arena buffers)
+        fn()  # warm caches (reverse im2col maps, BLAS threads, arena buffers)
     times: list[list[float]] = [[] for _ in fns]
     for _ in range(repeats):
         for i, fn in enumerate(fns):

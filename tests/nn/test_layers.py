@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.activations import ReLU
 from repro.nn.layers import (
@@ -13,6 +15,26 @@ from repro.nn.layers import (
     MaxPool2D,
     Parameter,
 )
+from repro.snn.plan import Workspace
+
+DTYPES = (np.float32, np.float64)
+LAYOUTS = ("c", "hw", "nhwc")
+
+
+def laid_out(x: np.ndarray, layout: str) -> np.ndarray:
+    """``x``'s values as a C-contiguous array (``"c"``) or a transposed,
+    non-contiguous view: H/W swapped in memory, or channels last."""
+    if layout == "hw":
+        return np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    if layout == "nhwc":
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    return x
+
+
+def spiky(rng, shape, dtype) -> np.ndarray:
+    """Values spread over many binades, so any change of summation order
+    shows up in the last bits."""
+    return (rng.normal(size=shape) * rng.exponential(size=shape) ** 3).astype(dtype)
 
 
 def numerical_gradient(fn, x, eps=1e-6):
@@ -172,6 +194,74 @@ class TestConv2D:
         assert layer.output_shape((3, 16, 16)) == (7, 16, 16)
 
 
+@st.composite
+def conv_cases(draw):
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pad = draw(st.integers(0, 2))
+    return {
+        "channels": draw(st.integers(1, 4)),
+        "filters": draw(st.integers(1, 5)),
+        "kernel": (kh, kw),
+        "stride": draw(st.integers(1, 3)),
+        "pad": pad,
+        "height": draw(st.integers(max(kh - 2 * pad, 1), 9)),
+        "width": draw(st.integers(max(kw - 2 * pad, 1), 9)),
+        "bias": draw(st.booleans()),
+        "dtype": draw(st.sampled_from(DTYPES)),
+        "layout": draw(st.sampled_from(LAYOUTS)),
+        # One workspace serves every batch: it grows and shrinks.
+        "batches": draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+class TestConvInference:
+    """``Conv2D.infer`` and ``infer_ws`` run one windowed per-sample GEMM."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=conv_cases())
+    def test_arena_matches_fresh_bit_for_bit(self, case):
+        rng = np.random.default_rng(case["seed"])
+        dtype = case["dtype"]
+        layer = Conv2D(
+            case["channels"],
+            case["filters"],
+            case["kernel"],
+            stride=case["stride"],
+            pad=case["pad"],
+            use_bias=case["bias"],
+            rng=rng,
+            dtype=dtype,
+        )
+        if case["bias"]:
+            layer.bias.data[...] = rng.normal(size=case["filters"])
+        ws = Workspace()
+        tol = 1e-4 if dtype == np.float32 else 1e-10
+        for n in case["batches"]:
+            shape = (n, case["channels"], case["height"], case["width"])
+            x = laid_out(spiky(rng, shape, dtype), case["layout"])
+            want = layer.infer(x)
+            got = layer.infer_ws(x, ws, (0, 0))
+            assert got.dtype == want.dtype == dtype
+            assert got.flags.c_contiguous and want.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+            scale = np.abs(want).max(initial=1.0)
+            np.testing.assert_allclose(
+                want / scale, layer.forward(np.ascontiguousarray(x)) / scale, rtol=tol, atol=tol
+            )
+        # The im2col scratch is one sample's (C*KH*KW, L) block at any batch.
+        _, out_h, out_w = layer.output_shape((case["channels"], case["height"], case["width"]))
+        block = case["channels"] * layer.kernel_h * layer.kernel_w * out_h * out_w
+        assert ws.nbytes(((0, 0), "im2col")) == block * np.dtype(dtype).itemsize
+
+    def test_mixed_dtypes_promote(self, rng):
+        layer = Conv2D(2, 3, 3, pad=1, rng=rng, dtype=np.float32)
+        x = rng.normal(size=(2, 2, 5, 5))
+        want = layer.infer(x)
+        assert want.dtype == np.float64
+        np.testing.assert_array_equal(layer.infer_ws(x, Workspace(), (0, 0)), want)
+
+
 class TestAvgPool2D:
     def test_forward_values(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
@@ -198,6 +288,56 @@ class TestAvgPool2D:
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
             AvgPool2D(0)
+
+
+def pairwise_reference(x: np.ndarray) -> np.ndarray:
+    """``((x00 + x01) + (x10 + x11)) * 0.25`` per 2x2 window, elementwise."""
+    n, c, h, w = x.shape
+    v = np.ascontiguousarray(x).reshape(n, c, h // 2, 2, w // 2, 2)
+    top = v[:, :, :, 0, :, 0] + v[:, :, :, 0, :, 1]
+    bottom = v[:, :, :, 1, :, 0] + v[:, :, :, 1, :, 1]
+    return (top + bottom) * 0.25
+
+
+class TestPoolInference:
+    """2x2 pools sum pairwise, the same arithmetic whatever the strides."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        c=st.integers(1, 6),
+        out_h=st.integers(1, 9),
+        out_w=st.integers(1, 9),
+        dtype=st.sampled_from(DTYPES),
+        layout=st.sampled_from(LAYOUTS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pairwise_sum_is_the_mean(self, n, c, out_h, out_w, dtype, layout, seed):
+        rng = np.random.default_rng(seed)
+        contiguous = spiky(rng, (n, c, 2 * out_h, 2 * out_w), dtype)
+        x = laid_out(contiguous, layout)
+        pool = AvgPool2D(2)
+        got = pool.infer(x)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, pairwise_reference(contiguous))
+        np.testing.assert_array_equal(pool.infer_ws(x, Workspace(), (0, 0)), got)
+        mean = contiguous.reshape(n, c, out_h, 2, out_w, 2).mean(axis=(3, 5))
+        if out_w > 1:
+            np.testing.assert_array_equal(got, mean)
+        else:
+            # A one-column output lets numpy coalesce each window into one
+            # contiguous run of four, which it sums left to right.
+            # Either order is within an ulp of each window's magnitude.
+            bound = 2 * np.finfo(dtype).eps * pairwise_reference(np.abs(contiguous))
+            assert (np.abs(got - mean) <= bound).all()
+
+    @pytest.mark.parametrize("size, stride, hw", [(3, 3, 9), (2, 1, 6), (2, 2, 5), (3, 2, 7)])
+    def test_other_pools_keep_forward(self, rng, size, stride, hw):
+        pool = AvgPool2D(size, stride)
+        x = rng.normal(size=(2, 3, hw, hw))
+        want = pool.forward(x)
+        np.testing.assert_array_equal(pool.infer(x), want)
+        np.testing.assert_array_equal(pool.infer_ws(x, Workspace(), (0, 0)), want)
 
 
 class TestMaxPool2D:

@@ -27,6 +27,7 @@ from repro.coding.phase import PhaseCoding
 from repro.coding.rate import RateCoding
 from repro.coding.reverse import ReverseCoding
 from repro.coding.ttfs import TTFSCoding, TTFSInputEncoder, TTFSNeurons
+from repro.nn.layers import Conv2D
 from repro.snn import events as ev
 from repro.snn import plan as plan_mod
 from repro.snn.engine import Simulator
@@ -383,13 +384,6 @@ class TestWorkspace:
         border[:, :, 1:-1, 1:-1] = False
         assert (pad2[border] == 0.0).all()
 
-    def test_cache_memoizes(self):
-        ws = Workspace()
-        calls = []
-        v1 = ws.cache("c", lambda: calls.append(1) or np.arange(3))
-        v2 = ws.cache("c", lambda: calls.append(1) or np.arange(3))
-        assert v1 is v2 and len(calls) == 1
-
 
 class TestZeroAllocationSteadyState:
     def test_no_new_arena_allocations_after_warmup(self, tiny_network, tiny_data):
@@ -481,6 +475,66 @@ class TestZeroAllocationSteadyState:
         assert len(peaks) == 1 + len(plan.stage_plans)
         for peak, stage_bytes in peaks:
             assert peak < stage_bytes / 8, (peak, stage_bytes)
+
+    def test_dense_flushes_allocate_nothing_stage_sized(
+        self, tiny_network, tiny_data, monkeypatch
+    ):
+        """Every conv/pool/dense flush on the baseline schedule runs in the
+        arena: steady-state runs make no arena allocations, and no
+        ``apply_dense`` call allocates anything near its stage's size."""
+        x = tiny_data[2][:64]
+        plan = pinned_plan(tiny_network, 0.0, batch_size=64)
+        plan.run(x)  # warmup sizes every buffer
+        plan.run(x)
+        allocs = plan.workspace.allocations
+        peaks = []
+        original = plan_mod.StagePlan.apply_dense
+
+        def traced(self, spikes):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            drive = original(self, spikes)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            peaks.append((peak, spikes.nbytes, drive.nbytes))
+            return drive
+
+        monkeypatch.setattr(plan_mod.StagePlan, "apply_dense", traced)
+        # numpy's per-call ufunc buffers hold at most bufsize elements;
+        # shrink them so they cannot pass for a stage-sized temporary.
+        bufsize = np.setbufsize(64)
+        tracemalloc.start()
+        try:
+            plan.run(x)
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert plan.workspace.allocations == allocs
+        assert len(peaks) == 1 + len(plan.stage_plans)
+        for peak, in_bytes, out_bytes in peaks:
+            assert peak < max(in_bytes, out_bytes) / 8, (peak, in_bytes, out_bytes)
+
+    @pytest.mark.parametrize("capacity", [1, 5, 64])
+    def test_conv_im2col_scratch_is_one_sample(self, tiny_network, tiny_data, capacity):
+        """A conv stage's im2col block holds one sample's ``C*KH*KW*L``
+        elements whatever the plan's capacity; its drive holds the batch."""
+        plan = Simulator(tiny_network, TTFSCoding(window=16)).compile(batch_size=capacity)
+        plan.run_batched(tiny_data[2][:64])
+        ws = plan.workspace
+        convs = 0
+        for pstage in [*plan.stage_plans, plan.readout_plan]:
+            shape = pstage.in_shape
+            for j, op in enumerate(pstage.stage.ops):
+                if isinstance(op, Conv2D):
+                    c, h, w = shape
+                    _, out_h, out_w = op.output_shape(shape)
+                    itemsize = op.weight.data.itemsize
+                    block = c * op.kernel_h * op.kernel_w * out_h * out_w
+                    drive = capacity * op.out_channels * out_h * out_w
+                    assert ws.nbytes(((pstage.index, j), "im2col")) == block * itemsize
+                    assert ws.nbytes(((pstage.index, j), "gemm")) == drive * itemsize
+                    convs += 1
+                shape = op.output_shape(shape)
+        assert convs == 2
 
     def test_no_net_heap_growth_across_runs(self, tiny_network, tiny_data):
         """tracemalloc: after warmup, further compiled runs retain no new
