@@ -29,7 +29,10 @@ Every spike time comes from one closed-form routine (:class:`_SpikeTimes`,
 bit-identical to ``np.searchsorted`` over the kernel table).  The compiled
 plan's bulk drains (docs/DESIGN.md §10) use it to emit a whole fire window
 either as one packet or, when the receiver runs its GEMM, as a dense
-tensor written into a buffer the plan supplies, without allocating.
+tensor written into a buffer the plan supplies, without allocating.  A
+drained spike's weight is the kernel value at its firing offset, so on a
+strictly decreasing table a run truncated by a compute budget can cut a
+drain back to the spikes it actually reached (:func:`_cut`).
 """
 
 from __future__ import annotations
@@ -97,7 +100,9 @@ class _SpikeTimes:
     which is what makes the compiled plan's dense drain allocation-free.
     """
 
-    __slots__ = ("weights", "emitted", "_neg", "_lo", "_hi", "_fit", "_clip")
+    __slots__ = (
+        "weights", "emitted", "cuttable", "_neg", "_lo", "_hi", "_fit", "_clip"
+    )
 
     #: Slack, in steps, the estimate must keep from the fix-ups' reach.
     MARGIN = 0.25
@@ -117,6 +122,9 @@ class _SpikeTimes:
         self.emitted = np.concatenate((weights, np.zeros(2, dtype=dtype)))
         self._neg = -weights
         self._clip = (weights[-1], weights[0])
+        # Strictly decreasing and positive: every spike weight names exactly
+        # one offset, and a dense drain's zeros are never spikes (_cut).
+        self.cuttable = bool(weights[-1] > 0 and np.all(weights[1:] < weights[:-1]))
         self._fit = self._log_fit()
 
     @property
@@ -255,6 +263,44 @@ def _drain(
     np.multiply(g.reshape(out.shape), mask.reshape(out.shape), out=out)
     np.logical_or(fired, mask, out=fired)
     return out, count
+
+
+def _cut(
+    spikes: SpikePacket | np.ndarray | None, times: _SpikeTimes, dt: int
+) -> tuple[SpikePacket | np.ndarray | None, int]:
+    """Take back from a bulk drain's ``spikes`` every event firing at offset
+    ``dt`` or later; returns ``(kept, removed)``.
+
+    A drained spike carries the kernel weight of its firing offset, and on
+    a cuttable table (strictly decreasing, positive) an event fires at
+    ``dt`` or later exactly when its weight is at most ``weights[dt]``.  A
+    packet is filtered (``None`` once nothing is left); a dense tensor has
+    its late entries zeroed in place.
+    """
+    weights = times.weights
+    if spikes is None or dt >= len(weights):
+        return spikes, 0
+    limit = weights[max(dt, 0)]
+    if isinstance(spikes, SpikePacket):
+        keep = spikes.weights > limit
+        kept = int(np.count_nonzero(keep))
+        removed = spikes.count - kept
+        if removed == 0:
+            return spikes, 0
+        if kept == 0:
+            return None, removed
+        packet = SpikePacket(
+            rows=spikes.rows[keep],
+            idx=spikes.idx[keep],
+            weights=spikes.weights[keep],
+            batch=spikes.batch,
+            shape=spikes.shape,
+            unique=True,
+        )
+        return packet, removed
+    late = (spikes > 0) & (spikes <= limit)
+    spikes[late] = 0
+    return spikes, int(np.count_nonzero(late))
 
 
 class _FiringSchedule:
@@ -433,10 +479,19 @@ class TTFSInputEncoder(InputEncoder):
             return SpikePacket.from_mask(can_fire, float(weight), dtype=self.dtype)
         return can_fire.astype(self.dtype) * weight
 
-    def can_drain(self) -> bool:
+    def can_drain(self, cut: bool = False) -> bool:
         """Whether the whole remaining emission schedule can leave as one
-        packet (monotone kernel: every pixel's spike time has a closed form)."""
-        return self._monotone
+        packet (monotone kernel: every pixel's spike time has a closed form);
+        with ``cut``, also whether a truncated run can take the drain back
+        (:meth:`cut_drain`)."""
+        return self._monotone and (not cut or self._times.cuttable)
+
+    def cut_drain(
+        self, spikes: SpikePacket | np.ndarray | None, steps: int
+    ) -> tuple[SpikePacket | np.ndarray | None, int]:
+        """Take back the drained ``spikes`` that a run stopped after ``steps``
+        executed steps never emitted; returns ``(kept, removed)`` (:func:`_cut`)."""
+        return _cut(spikes, self._times, steps)
 
     def drain_events(
         self,
@@ -659,10 +714,19 @@ class TTFSNeurons(NeuronDynamics):
         integration-phase drives can be delivered in one deferred batch."""
         return self.window.in_fire_phase(t)
 
-    def can_drain(self) -> bool:
+    def can_drain(self, cut: bool = False) -> bool:
         """Whether the remaining fire phase can leave as one packet (monotone
-        kernel — spike times are in closed form once input is exhausted)."""
-        return self._monotone
+        kernel — spike times are in closed form once input is exhausted);
+        with ``cut``, also whether a truncated run can take the drain back
+        (:meth:`cut_drain`)."""
+        return self._monotone and (not cut or self._times.cuttable)
+
+    def cut_drain(
+        self, spikes: SpikePacket | np.ndarray | None, steps: int
+    ) -> tuple[SpikePacket | np.ndarray | None, int]:
+        """Take back the drained ``spikes`` that a run stopped after ``steps``
+        executed steps never fired; returns ``(kept, removed)`` (:func:`_cut`)."""
+        return _cut(spikes, self._times, steps - self.window.fire_start)
 
     def drain_fire_events(
         self,

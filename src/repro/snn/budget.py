@@ -134,7 +134,14 @@ class BudgetTimer:
 
     @property
     def binds(self) -> bool:
-        """Whether this timer can truncate the window at all."""
+        """Whether this timer can truncate the window at all.
+
+        A binding timer does not turn the compiled plan's bulk drains off:
+        a run that truncates at step ``t`` cuts each drain back to the
+        spikes scheduled before ``t`` (docs/DESIGN.md §10).  Only a stage
+        whose kernel table is not strictly decreasing fires step by step
+        under it, since its spike weights do not name their steps.
+        """
         return self.budget.max_steps is not None or self._deadline is not None
 
     @property

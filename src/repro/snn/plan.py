@@ -445,11 +445,17 @@ class ExecutionPlan:
         the uncompiled ``early_exit=False`` run (and loss-free versus the
         early-exit runtime).
 
-        A binding ``timer`` disables the bulk drains (a drain emits FUTURE
-        scheduled spikes as one packet, which would leak evidence past the
-        truncation point) and falls back to the time-faithful closed-form
-        per-step firing, checking the budget between steps exactly like the
-        engine loop.
+        A ``timer`` is checked between steps exactly like the engine loop,
+        and the bulk drains run the same with or without one.  A drain
+        emits spikes scheduled for future steps, so a run that truncates at
+        step ``t`` cuts them back (``cut_drain``): each drain's events at
+        step ``t`` or later leave its source's spike count, and the last
+        stage's drain, held aside until the loop ends, also leaves the
+        readout's input.  No other receiver needs the cut: it does not read
+        its membrane before the source's window ends, which a truncated
+        window never reached.  The spike step is read off the spike's
+        kernel weight, so under a binding timer only strictly decreasing
+        tables drain; any other keeps per-step firing.
         """
         sim = self.simulator
         bound = self.bound
@@ -501,35 +507,36 @@ class ExecutionPlan:
         # drive is bit-identical to per-step delivery.  Always true on the
         # baseline schedule and for the last stage; under early firing the
         # overlap windows keep per-step (bucketed) delivery.  A binding
-        # budget forbids drains outright: a drained packet carries spikes
-        # scheduled for FUTURE steps, which must not survive truncation.
+        # budget also needs tables a truncated run can cut drains back on.
         budget_active = timer is not None and timer.binds
-        if budget_active:
-            drain_ok = [False] * num_stages
-        else:
-            drain_ok = [
-                windows[i + 1].fire_start >= windows[i].fire_end
-                if i + 1 < num_stages
-                else True
-                for i in range(num_stages)
-            ]
+        drain_ok = [
+            (i + 1 == num_stages or windows[i + 1].fire_start >= windows[i].fire_end)
+            and getattr(dyn, "can_drain", None) is not None
+            and dyn.can_drain(cut=budget_active)
+            for i, dyn in enumerate(bound.dynamics)
+        ]
+        # (source, counts key, spikes) of every drain a truncation cuts
+        # back; the last stage's drain reaches the readout after the loop.
+        drained = []
+        held = None
         encoder = bound.encoder
         enc_steps = enc_end
         if (
-            not budget_active
-            and windows[0].fire_start >= enc_end
+            windows[0].fire_start >= enc_end
             and getattr(encoder, "can_drain", None) is not None
-            and encoder.can_drain()
+            and encoder.can_drain(cut=budget_active)
         ):
             packet, count = encoder.drain_events(
                 **self._drain_target(receivers[0], inboxes[0], x.shape, compute_dtype)
             )
             if bound.counts_input_spikes:
                 counts["input"] += float(count)
+                drained.append((encoder, "input", packet))
             if packet is not None:
                 buffers[0].add(packet)
             enc_steps = 0  # every pixel spike is already in flight
 
+        last = num_stages - 1
         executed = horizon
         truncated = False
         for t in range(horizon):
@@ -559,8 +566,6 @@ class ExecutionPlan:
                     and not noted[i]
                     and t >= upstream_end[i] - 1
                     and drain_ok[i]
-                    and getattr(dyn, "can_drain", None)
-                    and dyn.can_drain()
                 ):
                     # Full drain: the last possible drive is flushed here,
                     # so the potentials are final before the first fire
@@ -578,6 +583,10 @@ class ExecutionPlan:
                         ),
                     )
                     counts[stage.name] += float(count)
+                    if i == last:
+                        held, spikes = spikes, None
+                    else:
+                        drained.append((dyn, stage.name, spikes))
                     noted[i] = True
                     done[i] = True
                     continue
@@ -599,7 +608,8 @@ class ExecutionPlan:
                 # switch to the closed-form per-step firing schedule.
                 dyn = bound.dynamics[i]
                 noted[i] = True
-                if drain_ok[i] and getattr(dyn, "can_drain", None) and dyn.can_drain():
+                if drain_ok[i]:
+                    name = spiking_stages[i].name
                     packet, count = dyn.drain_fire_events(
                         t,
                         **self._drain_target(
@@ -609,13 +619,28 @@ class ExecutionPlan:
                             compute_dtype,
                         ),
                     )
-                    counts[spiking_stages[i].name] += float(count)
-                    if packet is not None:
-                        inboxes[i + 1].add(packet)
+                    counts[name] += float(count)
+                    if i == last:
+                        held = packet
+                    else:
+                        drained.append((dyn, name, packet))
+                        if packet is not None:
+                            inboxes[i + 1].add(packet)
                     done[i] = True
                 else:
                     dyn.note_input_exhausted(t)
 
+        if truncated:
+            for source, name, spikes in drained:
+                counts[name] -= source.cut_drain(spikes, executed)[1]
+            if held is not None:
+                held, removed = bound.dynamics[last].cut_drain(held, executed)
+                counts[spiking_stages[last].name] -= removed
+                # A cut dense tensor is re-measured, so the readout takes the
+                # kernel its remaining density selects, as per-step input would.
+                held, _ = ev.ingest(held, self.readout_plan.threshold)
+        if held is not None:
+            readout_buffer.add(held)
         readout.absorb(sim._flush(readout_stage, readout_buffer, self.readout_plan))
         # Truncated runs keep the full-schedule seal: a pending once_at bias
         # IS applied, matching the engine's anytime seal (the partial answer

@@ -241,6 +241,60 @@ class TestBulkDrains:
             kinds.append(type(spikes))
         assert kinds == [SpikePacket, np.ndarray]
 
+    @pytest.mark.parametrize("threshold", [1.0, 0.0], ids=["packet", "dense"])
+    def test_cut_drain_keeps_exactly_the_executed_steps(self, rng, threshold):
+        """A drain cut back after ``steps`` executed steps holds exactly the
+        per-step emissions of steps ``< steps``, in either form."""
+        drive = rng.normal(0.3, 0.5, size=(5, 3, 4, 4))
+        stepper = self.population()
+        stepper.reset(5)
+        stepper.step(drive, 0)
+        per_step = {}
+        for t in range(self.WINDOW.fire_start, self.WINDOW.fire_end):
+            s = stepper.step(None, t)
+            per_step[t] = np.zeros(drive.shape) if s is None else s.to_dense()
+        total = sum(per_step.values())
+        for steps in range(self.WINDOW.fire_start - 1, self.WINDOW.fire_end + 2):
+            n = self.population()
+            n.reset(5)
+            spikes, count = n.drain_fire_events(
+                7, drive.copy(), out=np.empty(drive.shape), threshold=threshold
+            )
+            kept, removed = n.cut_drain(spikes, steps)
+            expected = sum((d for t, d in per_step.items() if t < steps), np.zeros(drive.shape))
+            got = np.zeros(drive.shape) if kept is None else (
+                kept.to_dense() if isinstance(kept, SpikePacket) else kept
+            )
+            np.testing.assert_array_equal(got, expected)
+            assert count - removed == int(np.count_nonzero(expected))
+            assert count == int(np.count_nonzero(total))
+
+    def test_cut_encoder_drain_keeps_exactly_the_executed_steps(self, rng):
+        x = rng.random((4, 2, 5, 5)) * (rng.random((4, 2, 5, 5)) > 0.3)
+        stepper = TTFSInputEncoder(kernel(), window=16, emit_events=True)
+        stepper.reset(x)
+        per_step = [s.to_dense() if (s := stepper.step(t)) is not None else 0.0 for t in range(16)]
+        for steps in range(0, 18):
+            enc = TTFSInputEncoder(kernel(), window=16, emit_events=True)
+            enc.reset(x)
+            packet, count = enc.drain_events()
+            kept, removed = enc.cut_drain(packet, steps)
+            expected = sum(per_step[:steps], np.zeros(x.shape))
+            got = np.zeros(x.shape) if kept is None else kept.to_dense()
+            np.testing.assert_array_equal(got, expected)
+            assert count - removed == int(np.count_nonzero(expected))
+
+    def test_tied_tables_cannot_be_cut(self):
+        """A weight that several offsets share does not name a spike step:
+        such a table still drains, but a truncated run cannot cut it."""
+        n = TTFSNeurons(
+            (3, 4, 4), bias=0.0, window=self.WINDOW, kernel=kernel(tau=1e30), emit_events=True
+        )
+        assert n.can_drain() and not n.can_drain(cut=True)
+        assert self.population().can_drain(cut=True)
+        enc = TTFSInputEncoder(kernel(tau=1e30), window=16, emit_events=True)
+        assert enc.can_drain() and not enc.can_drain(cut=True)
+
     def test_silent_drain_returns_nothing(self):
         n = self.population()
         n.reset(2)

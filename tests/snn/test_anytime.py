@@ -15,7 +15,8 @@ import pytest
 from repro.coding.burst import BurstCoding
 from repro.coding.phase import PhaseCoding
 from repro.coding.rate import RateCoding
-from repro.coding.ttfs import TTFSCoding
+from repro.coding.ttfs import TTFSCoding, TTFSInputEncoder, TTFSNeurons
+from repro.core.kernels import KernelParams, default_kernel_params
 from repro.snn import AnytimeResult, Budget, BudgetTimer, confidence_margins
 from repro.snn.engine import Simulator
 from repro.snn.monitors import Monitor
@@ -154,6 +155,121 @@ class TestTruncatedReadout:
         np.testing.assert_array_equal(
             result.scores, np.broadcast_to(result.scores[0], result.scores.shape)
         )
+
+
+def _assert_same_anytime(got, ref):
+    assert isinstance(got, AnytimeResult)
+    assert got.budget_exhausted == ref.budget_exhausted
+    assert got.steps == ref.steps
+    assert got.spike_counts == ref.spike_counts
+    np.testing.assert_array_equal(got.predictions, ref.predictions)
+    np.testing.assert_array_equal(got.scores, ref.scores)
+
+
+class TestPlanTruncation:
+    """A truncated compiled run cuts its bulk drains back to the steps it
+    executed; it must equal the per-step reference engine bit for bit."""
+
+    @pytest.mark.parametrize("early_firing", [False, True], ids=["baseline", "early"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("threshold", ["gemm", "event", "between"])
+    def test_plan_equals_engine_at_every_truncation(
+        self, tiny_network, tiny_data, early_firing, batch, threshold
+    ):
+        """Thresholds pinned to 0.0 make every drain dense, 1.0 makes every
+        drain a packet; "between" sits under the full readout input's
+        density, so its dense drain must be re-measured once cut."""
+        x = tiny_data[2][:batch]
+
+        def scheme():
+            return TTFSCoding(window=12, early_firing=early_firing)
+
+        if threshold == "between":
+            last = [s for s in tiny_network.stages if s.spiking][-1]
+            full = Simulator(tiny_network, scheme()).run(x)
+            density = full.spike_counts[last.name] / np.prod(last.out_shape)
+            assert density > 0
+            pinned = float(density) / 2
+        else:
+            pinned = {"gemm": 0.0, "event": 1.0}[threshold]
+        ref_sim = Simulator(
+            tiny_network, scheme(), density_threshold=pinned, early_exit=False
+        )
+        plan = Simulator(tiny_network, scheme(), density_threshold=pinned).compile(
+            batch_size=batch, calibrate=False
+        )
+        horizon = plan.run(x).steps
+        assert horizon > 12
+        for k in range(1, horizon + 1):
+            budget = Budget(max_steps=k)
+            _assert_same_anytime(plan.run(x, budget=budget), ref_sim.run(x, budget=budget))
+
+    def test_tied_tables_keep_per_step_firing(self, tiny_network, tiny_data):
+        """A stage whose kernel table has ties cannot have its drain cut, so
+        under a binding budget it fires step by step — still bit-identical."""
+        x = tiny_data[2][:3]
+        params = [default_kernel_params(12) for _ in range(3)]
+        params[1] = KernelParams(tau=1e30, t_delay=0.0)  # the first stage's table ties
+
+        def scheme():
+            return TTFSCoding(window=12, kernel_params=params)
+
+        ref_sim = Simulator(tiny_network, scheme(), early_exit=False)
+        plan = Simulator(tiny_network, scheme()).compile(batch_size=3, calibrate=False)
+        cuttable = [dyn.can_drain(cut=True) for dyn in plan.bound.dynamics]
+        assert cuttable == [False, True]
+        horizon = plan.run(x).steps
+        for k in range(1, horizon + 1):
+            budget = Budget(max_steps=k)
+            _assert_same_anytime(plan.run(x, budget=budget), ref_sim.run(x, budget=budget))
+
+    def test_wall_clock_truncation_equals_the_step_budget(
+        self, tiny_network, tiny_data
+    ):
+        """An ``ms`` budget that expires before step ``k`` (injected clock:
+        one second per read) truncates exactly like ``max_steps=k``."""
+        x = tiny_data[2][:3]
+        plan = Simulator(tiny_network, TTFSCoding(window=12)).compile(
+            batch_size=3, calibrate=False
+        )
+        horizon = plan.run(x).steps
+        for k in (1, horizon // 3, horizon // 2, horizon - 1):
+            reads = iter(range(10_000))
+            # Start reads 0, the check before step t reads t + 1.
+            timer = Budget(ms=(k + 1) * 1000.0).start(clock=lambda: float(next(reads)))
+            got = plan._run(x, None, timer=timer)
+            assert got.budget_exhausted and got.steps == k
+            _assert_same_anytime(got, plan.run(x, budget=Budget(max_steps=k)))
+
+    @pytest.mark.parametrize("early_firing", [False, True], ids=["baseline", "early"])
+    def test_non_binding_ms_budget_keeps_every_drain(
+        self, tiny_network, tiny_data, monkeypatch, early_firing
+    ):
+        """A budget that can bind but does not must run the same bulk
+        drains as no budget at all."""
+        calls = {"drain_fire_events": 0, "drain_events": 0}
+        for cls, name in (
+            (TTFSNeurons, "drain_fire_events"),
+            (TTFSInputEncoder, "drain_events"),
+        ):
+            original = getattr(cls, name)
+
+            def counted(self, *args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+        x = tiny_data[2][:4]
+        plan = Simulator(
+            tiny_network, TTFSCoding(window=12, early_firing=early_firing)
+        ).compile(batch_size=4, calibrate=False)
+        ref = plan.run(x)
+        unbudgeted = dict(calls)
+        assert unbudgeted["drain_fire_events"] > 0
+        got = plan.run(x, budget=Budget(ms=60_000.0))
+        assert not got.budget_exhausted
+        assert {k: calls[k] - unbudgeted[k] for k in calls} == unbudgeted
+        np.testing.assert_array_equal(got.scores, ref.scores)
 
 
 class TestMinConfidence:
