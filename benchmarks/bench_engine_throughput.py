@@ -10,8 +10,8 @@ VGG network under TTFS coding (baseline and early-firing schedules):
   per-sample retirement, scheduled TTFS firing, serial and
   multiprocess-sharded (``run_parallel``);
 * ``compiled`` — PR 3's compiled execution plan (``Simulator.compile``):
-  calibrated per-stage kernels, workspace arenas, and the phased executor
-  with bulk schedule drains.
+  calibrated per-stage kernels, workspace arenas, and the step loop's
+  window-phased policy with bulk schedule drains.
 
 All rows must satisfy the hard parity requirement (identical predictions
 and spike counts to the dense engine).  Results — wall time, samples/sec,

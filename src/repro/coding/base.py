@@ -45,8 +45,8 @@ class InputEncoder:
         """Steps after which the encoder is structurally silent, or ``None``.
 
         Window-scheduled encoders (TTFS, reverse) emit only during
-        ``[0, emission_window())`` regardless of the input; the compiled
-        phased executor (:mod:`repro.snn.plan`) uses this to skip encoder
+        ``[0, emission_window())`` regardless of the input; the step loop's
+        window-phased policy (:mod:`repro.snn.plan`) uses this to skip encoder
         steps outside the window and to derive when each stage's input is
         exhausted.  ``None`` (the default, and the right answer for constant
         or free-running encoders) keeps the generic per-step path.

@@ -502,7 +502,7 @@ class TTFSInputEncoder(InputEncoder):
         """Emit every remaining pixel spike at once; returns ``(spikes, count)``.
 
         Valid whenever the receiving stage integrates the full encoder
-        window before reading its membrane (the compiled phased executor
+        window before reading its membrane (the window-phased step loop
         checks the schedule): TTFS pixels fire at most once, so the event
         positions are unique and the receiver's accumulation is
         bit-identical no matter how the events are grouped over steps.
@@ -742,8 +742,8 @@ class TTFSNeurons(NeuronDynamics):
         Calling this carries the ``note_input_exhausted`` contract — the
         caller guarantees no drive arrives after step ``t`` beyond the
         final ``drive`` delivered here — and requires a settled bias (the
-        potentials are final once ``drive`` is integrated).  The compiled
-        phased executor uses it *instead of* the per-step firing schedule
+        potentials are final once ``drive`` is integrated).  The window-phased
+        step loop uses it *instead of* the per-step firing schedule
         when no downstream stage reads its membrane before this stage's
         fire window ends.  Fire-once semantics make the event positions
         unique, so the receiver's merged drive is bit-identical to per-step

@@ -207,7 +207,7 @@ class ParallelBackend:
     """Multiprocess mini-batch sharding (:mod:`repro.snn.parallel`).
 
     ``config.compiled`` composes: every worker compiles (and caches) its
-    own plan.  Degrades gracefully — an unpoolable host falls back to the
+    own plan, calibrated as ``config.calibrate`` says.  Degrades gracefully — an unpoolable host falls back to the
     serial path inside ``run_parallel`` with a warning.
     """
 
@@ -227,6 +227,7 @@ class ParallelBackend:
             workers=config.workers,
             batch_size=config.resolved_batch_size,
             compiled=config.compiled,
+            calibrate=config.calibrate,
         )
 
     def close(self) -> None:
@@ -241,8 +242,8 @@ class AnytimeBackend:
     result is always an :class:`~repro.snn.results.AnytimeResult` carrying
     per-sample confidence margins and whether the budget truncated the
     window.  ``config.compiled`` composes for monitor-free runs through
-    the runtime's cached compiled simulator (the phased executor checks
-    the same budget between steps).
+    the runtime's cached compiled simulator (the step loop checks the
+    same budget between steps under either schedule policy).
     """
 
     name = "anytime"

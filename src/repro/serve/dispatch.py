@@ -8,12 +8,12 @@ The service's dispatch thread executes flushed micro-batches.  Two modes
   zero IPC, arena reuse across flushes, the latency-optimal choice on
   small boxes.
 * **Sharded** (``workers > 1``): flushes are split into shards and mapped
-  over a *persistent* ``ProcessPoolExecutor`` that reuses
-  :mod:`repro.snn.parallel`'s worker machinery (same pickled-payload
-  initializer, same per-shard runner, per-worker compiled plans).  Unlike
-  ``run_parallel`` — which builds and tears down a pool per call — the
-  pool here outlives individual flushes, so pool startup is paid once per
-  service, not once per request burst.
+  over a *persistent* :class:`~repro.snn.parallel.WorkerPool` — the same
+  pool wrapper ``run_parallel`` uses (pickled-payload initializer,
+  per-shard runner, per-worker compiled plans).  Unlike ``run_parallel``
+  — which builds and tears down a pool per call — the pool here outlives
+  individual flushes, so pool startup is paid once per service, not once
+  per request burst.
 
 The pool is **supervised** (:class:`~repro.reliability.supervisor
 .SupervisedPool`): a worker crash mid-flush rebuilds the pool with
@@ -27,49 +27,27 @@ half-open probe later) instead of the old *permanent* serial degradation.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 from repro.reliability.errors import PoolUnavailable
-from repro.reliability.supervisor import RetryPolicy, SupervisedPool
-from repro.snn.parallel import _init_worker, _run_shard, worker_payload
+from repro.reliability.supervisor import RetryPolicy
+from repro.snn.parallel import WorkerPool, _run_shard
 
 __all__ = ["PoolUnavailable", "ShardedDispatcher"]
 
 
-class ShardedDispatcher:
+class ShardedDispatcher(WorkerPool):
     """Run micro-batches over a supervised, persistent worker pool.
 
-    Parameters
-    ----------
-    sim:
-        The simulator to replicate into each worker (network, scheme and
-        engine options ship once via the pool initializer).
-    workers:
-        Worker process count (resolved by the service; ``> 1`` here).
-    shard_size:
-        Per-shard sample count — also the batch capacity each worker
-        compiles its execution plan for (plans are cached per worker, so a
-        fixed shard size keeps exactly one plan per process).
-    compiled:
-        Route worker shards through per-worker compiled plans (the serving
-        default) instead of the uncompiled engine.
-    calibrate:
-        Calibration flag the workers pass to their plan compilation.
-    start_method:
-        Multiprocessing start method.  Unlike ``run_parallel`` (whose
-        callers are single-threaded, making fork cheap and safe), the
-        service is inherently multithreaded when the pool spawns — forking
-        a multithreaded process can deadlock children on inherited locks —
-        so the default prefers ``forkserver``, then ``spawn``.
-    retry:
-        Pool-rebuild :class:`~repro.reliability.supervisor.RetryPolicy`;
-        ``None`` uses the supervisor's default.
-    on_rebuild:
-        ``on_rebuild(attempt, exc)`` observer, called before each pool
-        rebuild (the service counts these into ``ServiceStats``).
+    A :class:`~repro.snn.parallel.WorkerPool` that splits each micro-batch
+    into contiguous shards of ``shard_size`` samples — also the capacity
+    each worker compiles its plan for, so each process keeps exactly one
+    plan.  ``workers`` must be ``> 1``.  Unlike ``run_parallel`` (whose
+    callers are single-threaded, making fork cheap and safe), the service
+    is multithreaded when the pool spawns — forking a multithreaded
+    process can deadlock children on inherited locks — so the default
+    ``start_method`` prefers ``forkserver``, then ``spawn``.
+    ``close(force=True)`` is the flush watchdog's recovery path.
     """
 
     def __init__(
@@ -87,36 +65,18 @@ class ShardedDispatcher:
             raise ValueError(f"ShardedDispatcher needs workers >= 2, got {workers}")
         if shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-        self.workers = int(workers)
+        super().__init__(
+            sim,
+            workers,
+            compiled=compiled,
+            plan_batch=shard_size,
+            calibrate=calibrate,
+            start_method=start_method,
+            prefer=("forkserver", "spawn", "fork"),
+            retry=retry,
+            on_rebuild=on_rebuild,
+        )
         self.shard_size = int(shard_size)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            for preferred in ("forkserver", "spawn", "fork"):
-                if preferred in methods:
-                    start_method = preferred
-                    break
-            else:  # pragma: no cover - every platform offers one of the above
-                start_method = methods[0]
-        self._context = multiprocessing.get_context(start_method)
-        self._payload = worker_payload(
-            sim, compiled=compiled, plan_batch=shard_size, calibrate=calibrate
-        )
-        self._supervisor = SupervisedPool(
-            self._make_pool, policy=retry, on_rebuild=on_rebuild
-        )
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=self._context,
-            initializer=_init_worker,
-            initargs=(self._payload,),
-        )
-
-    @property
-    def rebuilds(self) -> int:
-        """Pool rebuilds performed by the supervisor so far."""
-        return self._supervisor.rebuilds
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Execute one micro-batch; returns the stacked score matrix.
@@ -127,14 +87,9 @@ class ShardedDispatcher:
         same scores; :class:`PoolUnavailable` escapes only when the
         supervisor's retry budget is spent.
         """
-        shards = [
-            (None, x[start : start + self.shard_size], None)
-            for start in range(0, len(x), self.shard_size)
-        ]
-        results = self._supervisor.map(_run_shard, shards)
-        return np.concatenate([r.scores for r in results], axis=0)
+        return self.run_budgeted(x, None)[0]
 
-    def run_budgeted(self, x: np.ndarray, budget_ms: float):
+    def run_budgeted(self, x: np.ndarray, budget_ms: float | None):
         """Execute one micro-batch under a per-shard compute budget.
 
         Each shard carries ``budget_ms`` in its payload and runs as an
@@ -143,24 +98,14 @@ class ShardedDispatcher:
         ``(scores, exhausted)`` where ``exhausted`` is True when *any*
         shard's window was truncated by the budget — the flush's rows are
         then partial answers (sealed early, never cached by the service).
+        ``budget_ms=None`` runs unbudgeted.
         """
-        shards = [
-            (None, x[start : start + self.shard_size], None, float(budget_ms))
-            for start in range(0, len(x), self.shard_size)
-        ]
-        results = self._supervisor.map(_run_shard, shards)
+        results = self.map(
+            _run_shard,
+            [
+                (None, x[start : start + self.shard_size], None, budget_ms)
+                for start in range(0, len(x), self.shard_size)
+            ],
+        )
         scores = np.concatenate([r.scores for r in results], axis=0)
-        exhausted = any(getattr(r, "budget_exhausted", False) for r in results)
-        return scores, exhausted
-
-    def close(self, force: bool = False) -> None:
-        """Shut down the supervised pool permanently.
-
-        ``force=True`` (the flush watchdog's recovery path) also kills the
-        worker processes outright — a hung flush may have wedged them —
-        and, because the supervisor is *closed* rather than merely
-        discarded, the abandoned dispatch attempt cannot resurrect the
-        pool: its next rebuild raises
-        :class:`~repro.reliability.errors.PoolUnavailable` instead.
-        """
-        self._supervisor.close(force=force)
+        return scores, any(getattr(r, "budget_exhausted", False) for r in results)

@@ -693,40 +693,15 @@ class InferenceService:
             self._stats.pool_rebuilds += 1
 
     def _execute(self, key, xs: np.ndarray) -> np.ndarray:
-        """Run one stacked micro-batch; returns scores for the real rows.
+        """Run one stacked micro-batch; returns scores for the real rows."""
+        return self._execute_budgeted(key, xs, None, self._flush_epoch)[0]
 
-        With ``workers > 1`` the parallel path is gated by the circuit
-        breaker: a flush whose supervised pool retries are exhausted
-        serves serially *this flush* and records a failure; once tripped,
-        flushes go serial without paying spawn latency until the cooldown
-        admits a half-open probe, whose success restores parallel service.
-        The old behaviour — one failure degrading the service to serial
-        permanently — is gone.
-        """
-        n = len(xs)
-        if self._dispatcher is not None and self._dispatcher_key != key:
-            # The model was reconfigured: workers hold plans for the old
-            # coding key, so the pool must be rebuilt.
-            self._dispatcher.close()
-            self._dispatcher = None
-        if self._workers > 1 and self._breaker.allow():
-            try:
-                dispatcher = self._ensure_dispatcher(key)
-                scores = dispatcher.run(xs)
-            except PoolUnavailable as exc:
-                self._breaker.record_failure()
-                note_serial_fallback("repro.serve.InferenceService", exc)
-                with self._stats_lock:
-                    self._stats.serial_fallbacks += 1
-                if self._dispatcher is not None:
-                    self._dispatcher.close()
-                    self._dispatcher = None
-            else:
-                self._breaker.record_success()
-                return scores
-        faults.check(faults.KERNEL_EXCEPTION)
-        plan, xs = self._padded_plan(key, xs)
-        return plan.run(xs).scores[:n]
+    def _drop_dispatcher(self, force: bool = False) -> None:
+        """Close and forget the sharded dispatcher, if any."""
+        dispatcher, self._dispatcher = self._dispatcher, None
+        self._dispatcher_key = None
+        if dispatcher is not None:
+            dispatcher.close(force=force)
 
     def _ensure_dispatcher(self, key) -> ShardedDispatcher:
         if self._dispatcher is None:
@@ -734,14 +709,7 @@ class InferenceService:
             if self._steps is not None and sim._steps_arg != self._steps:
                 # The payload ships sim._steps_arg, so the service's
                 # steps override must be baked into the replica.
-                sim = Simulator(
-                    sim.network,
-                    sim.scheme,
-                    steps=self._steps,
-                    event_driven=sim.event_driven,
-                    density_threshold=sim.density_threshold,
-                    early_exit=sim.early_exit,
-                )
+                sim = sim._replica(steps=self._steps)
             self._dispatcher = ShardedDispatcher(
                 sim,
                 workers=self._workers,
@@ -768,23 +736,34 @@ class InferenceService:
             xs = padded
         return plan, xs
 
-    def _execute_budgeted(self, key, xs: np.ndarray, engine_ms: float, epoch: int):
-        """Run one micro-batch as an anytime window; ``(scores, exhausted)``.
+    def _execute_budgeted(
+        self, key, xs: np.ndarray, engine_ms: float | None, epoch: int
+    ):
+        """Run one micro-batch, as an anytime window when ``engine_ms`` is
+        set; returns ``(scores, exhausted)`` for the real rows.
 
-        Runs on a per-flush *runner* thread under the flush watchdog.  The
-        ``epoch`` snapshot detects abandonment: if the watchdog gave up on
-        this flush it already settled the members and rebuilt the
-        execution state, so a late-waking runner (a *zombie*) must not
-        touch the service's shared plans/dispatcher/breaker — it bails out
-        with :class:`_FlushAbandoned` instead.
+        With ``workers > 1`` the parallel path is gated by the circuit
+        breaker: a flush whose supervised pool retries are exhausted
+        serves serially *this flush* and records a failure; once tripped,
+        flushes go serial without paying spawn latency until the cooldown
+        admits a half-open probe, whose success restores parallel service.
+
+        A budgeted flush runs on a per-flush *runner* thread under the
+        flush watchdog.  The ``epoch`` snapshot detects abandonment: if the
+        watchdog gave up on this flush it already settled the members and
+        rebuilt the execution state, so a late-waking runner (a *zombie*)
+        must not touch the service's shared plans/dispatcher/breaker — it
+        bails out with :class:`_FlushAbandoned` instead.
         """
-        faults.check(faults.FLUSH_HANG)
+        if engine_ms is not None:
+            faults.check(faults.FLUSH_HANG)
         if epoch != self._flush_epoch:
             raise _FlushAbandoned()
         n = len(xs)
         if self._dispatcher is not None and self._dispatcher_key != key:
-            self._dispatcher.close()
-            self._dispatcher = None
+            # The model was reconfigured: workers hold plans for the old
+            # coding key, so the pool must be rebuilt.
+            self._drop_dispatcher()
         if self._workers > 1 and self._breaker.allow():
             try:
                 dispatcher = self._ensure_dispatcher(key)
@@ -799,16 +778,15 @@ class InferenceService:
                 note_serial_fallback("repro.serve.InferenceService", exc)
                 with self._stats_lock:
                     self._stats.serial_fallbacks += 1
-                if self._dispatcher is not None:
-                    self._dispatcher.close()
-                    self._dispatcher = None
+                self._drop_dispatcher()
             else:
                 self._breaker.record_success()
                 return scores, exhausted
         faults.check(faults.KERNEL_EXCEPTION)
         plan, xs = self._padded_plan(key, xs)
-        result = plan.run(xs, budget=Budget(ms=engine_ms))
-        return result.scores[:n], result.budget_exhausted
+        budget = None if engine_ms is None else Budget(ms=engine_ms)
+        result = plan.run(xs, budget=budget)
+        return result.scores[:n], getattr(result, "budget_exhausted", False)
 
     def _pop_followers(self, digest) -> list:
         if digest is None:
@@ -967,10 +945,7 @@ class InferenceService:
         self._plans = {}
         self._gen_sim = None
         self._gen_key = None
-        dispatcher, self._dispatcher = self._dispatcher, None
-        self._dispatcher_key = None
-        if dispatcher is not None:
-            dispatcher.close(force=True)
+        self._drop_dispatcher(force=True)
 
     def _settle_flush(
         self, requests, key, scores, partial: bool = False
@@ -1097,9 +1072,7 @@ class InferenceService:
             return
         self._closed = True
         self._batcher.close()
-        if self._dispatcher is not None:
-            self._dispatcher.close()
-            self._dispatcher = None
+        self._drop_dispatcher()
 
     def __enter__(self) -> "InferenceService":
         return self

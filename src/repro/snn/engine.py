@@ -36,6 +36,13 @@ readout potential, encoder state) is compacted down to the surviving rows —
 so wall time tracks the slowest sample's decision time instead of
 ``total_steps x full batch``.  Both mechanisms are loss-free: predictions,
 scores and spike counts are identical to the full-schedule run.
+
+One step loop, two schedule policies (docs/DESIGN.md §10):
+:meth:`Simulator._run` is the only step loop, and the *per-step* policy
+above is the reference.  A compiled plan of a window-scheduled scheme
+(TTFS, reverse) runs the same loop under the *window-phased* policy: it
+visits only the stages whose windows let them act, drains fire-once
+sources in bulk and stops at the last fire window's end.
 """
 
 from __future__ import annotations
@@ -46,20 +53,10 @@ from repro.convert.converter import ConvertedNetwork, ConvertedStage
 from repro.snn import events as ev
 from repro.snn.budget import Budget, BudgetTimer
 from repro.snn.events import SpikePacket
+from repro.snn.parallel import merge_results, run_parallel
 from repro.snn.results import AnytimeResult, SimulationResult, confidence_margins
 
 __all__ = ["Simulator"]
-
-
-def _start_timer(budget, timer):
-    """Resolve the run's :class:`BudgetTimer` (shared timers pass through)."""
-    if timer is not None:
-        return timer
-    if budget is None:
-        return None
-    if not isinstance(budget, Budget):
-        raise TypeError(f"budget must be a Budget or None, got {budget!r}")
-    return budget.start()
 
 
 def _check_batch_size(batch_size) -> int:
@@ -71,6 +68,25 @@ def _check_batch_size(batch_size) -> int:
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     return int(batch_size)
+
+
+def _drain_target(receiver, inbox, shape, dtype, consumed=None) -> dict:
+    """Keyword arguments of a bulk drain towards ``receiver`` (a StagePlan).
+
+    The drain goes dense exactly when ``receiver.threshold`` would send its
+    packet through the GEMM (the kernel decision ``_propagate`` makes),
+    writing into ``consumed`` — the draining stage's drive, integrated and
+    dead until that stage's next flush — or, without one, into the
+    receiver's own arena buffer, which lives until the receiver flushes it.
+    A receiver with input already pending keeps packets: its buffer merges
+    them itself.
+    """
+    if not inbox.empty:
+        return {}
+    workspace = receiver.workspace
+    if consumed is None:
+        consumed = workspace.buffer(("drain", receiver.index), shape, dtype)
+    return {"out": consumed, "threshold": receiver.threshold, "workspace": workspace}
 
 
 class _DriveBuffer:
@@ -255,6 +271,19 @@ class Simulator:
         self._flush_observer = None
         self._plans: dict = {}
 
+    def _replica(self, scheme=None, steps=None, monitors=()) -> "Simulator":
+        """A fresh simulator with this one's engine options and its own
+        bound state; ``scheme`` and ``steps`` override when given."""
+        return Simulator(
+            self.network,
+            self.scheme if scheme is None else scheme,
+            steps=self._steps_arg if steps is None else steps,
+            monitors=monitors,
+            event_driven=self.event_driven,
+            density_threshold=self.density_threshold,
+            early_exit=self.early_exit,
+        )
+
     def _propagate(
         self,
         stage: ConvertedStage,
@@ -317,9 +346,43 @@ class Simulator:
         — the current argmax, per-sample margins and ``steps_executed`` —
         whether or not the budget actually bound (docs/DESIGN.md §14).
         """
+        return self._session(x, y, budget)
+
+    def _session(
+        self,
+        x: np.ndarray,
+        y: np.ndarray | None,
+        budget: Budget | None,
+        batch_size: int | None = None,
+        plan=None,
+    ) -> SimulationResult:
+        """One monitored call: the run shell every entry point shares.
+
+        Monitors get one ``on_run_start`` / ``on_run_end`` around the whole
+        call.  ``x`` runs as windows of ``batch_size`` samples (one window
+        when ``None``) whose results merge in sample order; a ``budget``
+        starts *one* timer for the call.  ``plan`` overlays a compiled
+        plan's kernels and arenas on every window.
+        """
+        if budget is not None and not isinstance(budget, Budget):
+            raise TypeError(f"budget must be a Budget or None, got {budget!r}")
         for monitor in self.monitors:
             monitor.on_run_start(self, x, y)
-        result = self._run(x, y, budget=budget)
+        timer = budget.start() if budget is not None else None
+        if batch_size is None or len(x) <= batch_size:
+            result = self._run(x, y, plan, timer)
+        else:
+            shards, sizes = [], []
+            for start in range(0, len(x), batch_size):
+                xb = x[start : start + batch_size]
+                yb = y[start : start + batch_size] if y is not None else None
+                shards.append(self._run(xb, yb, plan, timer))
+                sizes.append(len(xb))
+            result = merge_results(shards, sizes, y, self.bound.decision_time)
+            if timer is not None:
+                result = AnytimeResult.from_result(
+                    result, any(s.budget_exhausted for s in shards)
+                )
         for monitor in self.monitors:
             monitor.on_run_end(result)
         return result
@@ -386,10 +449,24 @@ class Simulator:
         x: np.ndarray,
         y: np.ndarray | None,
         plan=None,
-        budget: Budget | None = None,
         timer: BudgetTimer | None = None,
     ) -> SimulationResult:
-        timer = _start_timer(budget, timer)
+        """Simulate one window of ``x``: the engine's only step loop.
+
+        ``plan`` (an :class:`~repro.snn.plan.ExecutionPlan`) overlays its
+        calibrated kernels and workspace arenas; ``timer`` is checked
+        between steps and truncates the window once spent.  The schedule
+        policy is fixed before the first step (docs/DESIGN.md §10):
+        *per-step* — the reference, with quiescence, retirement,
+        ``min_confidence`` and monitors — or *window-phased*, taken when
+        ``plan.schedule`` is set, no monitor is attached and the budget
+        has no ``min_confidence``; its results are bit-identical to the
+        per-step policy run with ``early_exit=False``.  A bulk drain emits
+        spikes scheduled for future steps, so a truncated window cuts them
+        back (``cut_drain``): from its source's spike count and, for the
+        last stage's drain, held aside until the loop ends, from the
+        readout's input.
+        """
         if x.shape[1:] != tuple(self.network.input_shape):
             raise ValueError(
                 f"input shape {x.shape[1:]} does not match network "
@@ -427,6 +504,7 @@ class Simulator:
 
         # Constant analog encoders (rate/burst) emit the identical tensor
         # every step, so the first stage's synaptic drive is computed once.
+        constant = bound.encoder.constant
         input_drive_cache: np.ndarray | None = None
 
         # Per-stage event buffers: drives are delivered only when the
@@ -440,6 +518,12 @@ class Simulator:
         # flushes so margins are live.
         budget_active = timer is not None and timer.binds
         min_conf = timer.min_confidence if timer is not None else None
+        # Schedule policy, fixed for the run: window-phased when the plan
+        # carries its window schedule and nothing needs the per-step view.
+        sched = None
+        if plan is not None and not self.monitors and min_conf is None:
+            sched = plan.schedule
+        phased = sched is not None
         # The readout potential is only read at the end — unless a monitor
         # observes it per step (e.g. accuracy-vs-time curves) or confidence
         # retirement needs the live margin.  Monitors without the
@@ -462,7 +546,8 @@ class Simulator:
             for monitor in self.monitors
         )
         exit_enabled = (
-            self.early_exit
+            not phased
+            and self.early_exit
             and bound.readout.rows_sealable()
             and no_full_run_monitor
         )
@@ -474,36 +559,64 @@ class Simulator:
             and bound.readout.rows_sealable()
             and no_full_run_monitor
         )
+        # exhausted_flags[i]: stage i will never receive drive again;
+        # done_flags: settled sources (encoder at 0, stage i at i + 1).
         exhausted_flags = [False] * len(bound.dynamics)
         done_flags = [False] * (len(bound.dynamics) + 1)
         active: np.ndarray | None = None  # original row of each live sample
         scores_out: np.ndarray | None = None
         executed = 0
         truncated = False
+        steps = enc_steps = bound.total_steps
 
-        for t in range(bound.total_steps):
-            if budget_active and timer.expired(executed):
-                # Budget spent: deliver any deferred readout drive, then let
-                # the tail seal freeze the evidence gathered so far.
-                bound.readout.absorb(
-                    self._flush(readout_stage, readout_buffer, readout_plan)
+        if phased:
+            steps = sched.horizon
+            enc_steps = sched.enc_end
+            awake = list(sched.awake)
+            silent = (False,) * steps
+            upstream_end = sched.upstream_end
+            bias_step = sched.bias_step
+            last = len(awake) - 1
+            # receivers[s] / inboxes[s]: the plan and drive buffer of source
+            # s's receiver (s = 0 the encoder, s = i + 1 spiking stage i).
+            receivers = [*stage_plans, readout_plan]
+            inboxes = [*buffers, readout_buffer]
+            # (source, counts key, spikes) of every drain a truncation cuts
+            # back; the last stage's drain reaches the readout after the loop.
+            drained = []
+            held = None
+            if sched.encoder_drains and bound.encoder.can_drain(cut=budget_active):
+                packet, count = bound.encoder.drain_events(
+                    **_drain_target(receivers[0], buffers[0], x.shape, compute_dtype)
                 )
-                truncated = True
-                break
-            spikes = bound.encoder.step(t)
-            if bound.encoder.constant:
-                # Analog current injection: never packed (it is not a spike
-                # tensor), only short-circuited when all-zero.
-                if spikes is not None and not spikes.any():
-                    spikes = None
-            else:
-                spikes, count = ev.ingest(spikes, pack_threshold)
                 if bound.counts_input_spikes:
                     counts["input"] += float(count)
+                    drained.append((bound.encoder, "input", packet))
+                if packet is not None:
+                    buffers[0].add(packet)
+                enc_steps = 0  # every pixel spike is already in flight
+
+        for t in range(steps):
+            if budget_active and timer.expired(executed):
+                truncated = True
+                break
+            if t < enc_steps:
+                spikes = bound.encoder.step(t)
+                if constant:
+                    # Analog current injection: never packed (it is not a
+                    # spike tensor), only short-circuited when all-zero.
+                    if spikes is not None and not spikes.any():
+                        spikes = None
+                else:
+                    spikes, count = ev.ingest(spikes, pack_threshold)
+                    if bound.counts_input_spikes:
+                        counts["input"] += float(count)
+            else:
+                spikes = None
 
             step_spikes: list[np.ndarray | SpikePacket | None] = []
             for i, (stage, dyn) in enumerate(zip(spiking_stages, bound.dynamics)):
-                if i == 0 and bound.encoder.constant and spikes is not None:
+                if constant and i == 0 and spikes is not None:
                     if input_drive_cache is None:
                         input_drive_cache = self._propagate(
                             stage, spikes, stage_plans[0]
@@ -516,6 +629,8 @@ class Simulator:
                 else:
                     if spikes is not None:
                         buffers[i].add(spikes)
+                    elif phased and not awake[i][t]:
+                        continue  # schedule-silent: the stage cannot act at t
                     if not self.event_driven or dyn.needs_drive(t):
                         drive = self._flush(stage, buffers[i], stage_plans[i])
                     else:
@@ -526,16 +641,52 @@ class Simulator:
 
             if spikes is not None:
                 readout_buffer.add(spikes)
-            if flush_readout_each_step or t == last_step:
-                current = self._flush(readout_stage, readout_buffer, readout_plan)
-            else:
-                current = None
-            bound.readout.accumulate(current, t)
+            if not phased:
+                if flush_readout_each_step or t == last_step:
+                    current = self._flush(readout_stage, readout_buffer, readout_plan)
+                else:
+                    current = None
+                bound.readout.accumulate(current, t)
+            elif t == bias_step:
+                bound.readout.accumulate(None, t)
 
             for monitor in self.monitors:
                 monitor.on_step(t, step_spikes, bound.readout)
             executed = t + 1
 
+            if phased:
+                for i, dyn in enumerate(bound.dynamics):
+                    if exhausted_flags[i] or t < upstream_end[i] - 1:
+                        continue
+                    # No drive can arrive after this step.  A binding budget
+                    # drains only tables a truncation can cut back.
+                    if sched.stage_drains[i] and dyn.can_drain(cut=budget_active):
+                        # Deliver the last of it: the potentials are final,
+                        # so the rest of the fire window leaves as one packet.
+                        stage = spiking_stages[i]
+                        drive = self._flush(stage, buffers[i], stage_plans[i])
+                        target = _drain_target(
+                            receivers[i + 1],
+                            inboxes[i + 1],
+                            (n, *stage.out_shape),
+                            compute_dtype,
+                            drive,
+                        )
+                        packet, count = dyn.drain_fire_events(t, drive, **target)
+                        counts[stage.name] += float(count)
+                        if i == last:
+                            held = packet
+                        else:
+                            drained.append((dyn, stage.name, packet))
+                            if packet is not None:
+                                inboxes[i + 1].add(packet)
+                        exhausted_flags[i] = True
+                        awake[i] = silent  # a drained stage never acts again
+                    elif buffers[i].empty:
+                        # Switch to the closed-form per-step firing schedule.
+                        exhausted_flags[i] = True
+                        dyn.note_input_exhausted(t)
+                continue
             if t == last_step or not (exit_enabled or conf_enabled):
                 continue
             batch = len(active) if active is not None else n
@@ -593,6 +744,22 @@ class Simulator:
             if input_drive_cache is not None:
                 input_drive_cache = input_drive_cache[keep]
 
+        if phased:
+            if truncated:
+                for source, name, spikes in drained:
+                    counts[name] -= source.cut_drain(spikes, executed)[1]
+                if held is not None:
+                    held, removed = bound.dynamics[last].cut_drain(held, executed)
+                    counts[stage_names[last]] -= removed
+                    # A cut dense tensor is re-measured, so the readout takes
+                    # the kernel its remaining density selects, as per-step
+                    # input would.
+                    held, _ = ev.ingest(held, readout_plan.threshold)
+            if held is not None:
+                readout_buffer.add(held)
+        # Deliver any deferred readout drive (a truncated window's; the
+        # phased policy's only flush), then seal.
+        bound.readout.absorb(self._flush(readout_stage, readout_buffer, readout_plan))
         last_t = executed - 1
         # Budget truncation keeps the full-schedule seal: a still-pending
         # once_at bias IS applied, so the partial answer is exactly the
@@ -608,29 +775,19 @@ class Simulator:
             )
             scores = scores_out
         predictions = scores.argmax(axis=1)
-        accuracy = float((predictions == y).mean()) if y is not None else None
         per_inference = {name: c / n for name, c in counts.items()}
-        if timer is not None:
-            return AnytimeResult(
-                scores=scores,
-                predictions=predictions,
-                accuracy=accuracy,
-                spike_counts=per_inference,
-                total_spikes=float(sum(per_inference.values())),
-                steps=executed,
-                decision_time=bound.decision_time,
-                margins=confidence_margins(scores),
-                budget_exhausted=truncated,
-            )
-        return SimulationResult(
+        result = SimulationResult(
             scores=scores,
             predictions=predictions,
-            accuracy=accuracy,
+            accuracy=float((predictions == y).mean()) if y is not None else None,
             spike_counts=per_inference,
             total_spikes=float(sum(per_inference.values())),
             steps=executed,
             decision_time=bound.decision_time,
         )
+        if timer is not None:
+            return AnytimeResult.from_result(result, truncated)
+        return result
 
     def run_batched(
         self,
@@ -651,46 +808,7 @@ class Simulator:
         wall-clock expiry execute zero steps — their all-zero scores are the
         honest "no evidence yet" anytime answer.
         """
-        batch_size = _check_batch_size(batch_size)
-        if len(x) <= batch_size:
-            return self.run(x, y, budget=budget)
-        for monitor in self.monitors:
-            monitor.on_run_start(self, x, y)
-        timer = _start_timer(budget, None)
-        all_scores = []
-        merged_counts: dict[str, float] = {}
-        total = 0
-        executed = 0
-        exhausted = False
-        for start in range(0, len(x), batch_size):
-            xb = x[start : start + batch_size]
-            yb = y[start : start + batch_size] if y is not None else None
-            res = self._run(xb, yb, timer=timer)
-            all_scores.append(res.scores)
-            executed = max(executed, res.steps)
-            exhausted = exhausted or getattr(res, "budget_exhausted", False)
-            weight = len(xb)
-            total += weight
-            for name, value in res.spike_counts.items():
-                merged_counts[name] = merged_counts.get(name, 0.0) + value * weight
-        scores = np.concatenate(all_scores, axis=0)
-        predictions = scores.argmax(axis=1)
-        accuracy = float((predictions == y).mean()) if y is not None else None
-        per_inference = {name: c / total for name, c in merged_counts.items()}
-        result = SimulationResult(
-            scores=scores,
-            predictions=predictions,
-            accuracy=accuracy,
-            spike_counts=per_inference,
-            total_spikes=float(sum(per_inference.values())),
-            steps=executed,
-            decision_time=self.bound.decision_time,
-        )
-        if timer is not None:
-            result = AnytimeResult.from_result(result, exhausted)
-        for monitor in self.monitors:
-            monitor.on_run_end(result)
-        return result
+        return self._session(x, y, budget, _check_batch_size(batch_size))
 
     def run_parallel(
         self,
@@ -700,6 +818,7 @@ class Simulator:
         batch_size: int = 64,
         start_method: str | None = None,
         compiled: bool = False,
+        calibrate: bool = True,
     ) -> SimulationResult:
         """Shard mini-batches across worker processes and merge the results.
 
@@ -709,10 +828,9 @@ class Simulator:
         staying serial on single-core hosts, where a pool only adds
         overhead.  ``compiled=True`` makes each worker compile (and cache)
         its own execution plan — arenas are process-local, so compiled
-        parallel runs mean per-worker compilation.
+        parallel runs mean per-worker compilation — with ``calibrate``
+        deciding whether those plans run the calibration pass.
         """
-        from repro.snn.parallel import run_parallel
-
         return run_parallel(
             self,
             x,
@@ -721,6 +839,7 @@ class Simulator:
             batch_size=batch_size,
             start_method=start_method,
             compiled=compiled,
+            calibrate=calibrate,
         )
 
     # ------------------------------------------------------------------ #
@@ -762,7 +881,8 @@ class Simulator:
         """
         from repro.snn.plan import compile_plan
 
-        key = (int(batch_size), steps, bool(calibrate))
+        batch_size = _check_batch_size(batch_size)
+        key = (batch_size, steps, bool(calibrate))
         plan = None if probe is not None else self._plans.get(key)
         if plan is None:
             # An explicit probe always recompiles: the caller is asking for
@@ -784,6 +904,5 @@ class Simulator:
         budget: Budget | None = None,
     ) -> SimulationResult:
         """Run through a cached compiled plan (:meth:`compile` on first use)."""
-        batch_size = _check_batch_size(batch_size)
         plan = self.compile(batch_size=batch_size, calibrate=calibrate)
-        return plan.run_batched(x, y, batch_size=batch_size, budget=budget)
+        return plan.run_batched(x, y, budget=budget)

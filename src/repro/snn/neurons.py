@@ -166,10 +166,10 @@ class NeuronDynamics:
         """The stage's firing window when its schedule confines firing.
 
         Phase-scheduled dynamics (TTFS, reverse) return their
-        :class:`~repro.snn.schedule.StageWindow`, which lets the compiled
-        phased executor (:mod:`repro.snn.plan`) skip the stage outside its
-        active steps.  ``None`` (the default) marks free-running dynamics
-        that may fire at any step.
+        :class:`~repro.snn.schedule.StageWindow`, which lets the step
+        loop's window-phased policy (compiled plans, :mod:`repro.snn.plan`)
+        skip the stage outside its active steps.  ``None`` (the default)
+        marks free-running dynamics that may fire at any step.
         """
         return None
 

@@ -40,7 +40,7 @@ import numpy as np
 import repro.reliability.faults as faults
 from repro.reliability.errors import PoolUnavailable
 from repro.reliability.log import note_serial_fallback
-from repro.reliability.supervisor import SupervisedPool
+from repro.reliability.supervisor import RetryPolicy, SupervisedPool
 from repro.snn.budget import Budget
 from repro.snn.results import SimulationResult
 
@@ -50,6 +50,7 @@ __all__ = [
     "resolve_workers",
     "num_shards",
     "worker_payload",
+    "WorkerPool",
 ]
 
 
@@ -96,7 +97,6 @@ def resolve_workers(workers: int | str, num_shards: int) -> int:
 #: plan's workspace arenas are process-local and cannot cross a fork/spawn
 #: boundary, so "compiled parallel runs" means per-worker compilation.
 _WORKER_SIM = None
-_WORKER_ARGS = None
 _WORKER_COMPILED = (False, 64, True)
 
 
@@ -134,7 +134,7 @@ def worker_payload(
 def _init_worker(payload: bytes) -> None:
     from repro.snn.engine import Simulator
 
-    global _WORKER_SIM, _WORKER_ARGS, _WORKER_COMPILED
+    global _WORKER_SIM, _WORKER_COMPILED
     (
         network,
         scheme,
@@ -148,7 +148,6 @@ def _init_worker(payload: bytes) -> None:
         fault_plan,
     ) = pickle.loads(payload)
     faults.adopt(fault_plan)
-    _WORKER_ARGS = (network, steps, event_driven, density_threshold, early_exit)
     _WORKER_COMPILED = (compiled, plan_batch, calibrate)
     _WORKER_SIM = Simulator(
         network,
@@ -167,41 +166,66 @@ def _run_shard(shard) -> SimulationResult:
     faults.check(faults.WORKER_CRASH)
     faults.check(faults.KERNEL_EXCEPTION)
     # Shards are (scheme, x, y) or (scheme, x, y, budget_ms): the serving
-    # dispatcher's budgeted flushes ride the fourth slot (docs/DESIGN.md
-    # §14) — the wall-clock countdown starts in the worker, bounding the
-    # execution itself rather than the queue time.
+    # dispatcher's flushes carry their budget (or None) in the fourth slot
+    # (docs/DESIGN.md §14) — the wall-clock countdown starts in the worker,
+    # bounding the execution itself rather than the queue time.
     scheme, xb, yb, *rest = shard
     budget = Budget(ms=float(rest[0])) if rest and rest[0] is not None else None
     compiled, plan_batch, calibrate = _WORKER_COMPILED
-    if scheme is None:
-        if compiled:
-            # The worker's plan compiles once (cached on its simulator) and
-            # is reused by every shard this process executes.
-            return _WORKER_SIM.run_compiled(
-                xb, yb, batch_size=plan_batch, calibrate=calibrate, budget=budget
-            )
-        return _WORKER_SIM._run(xb, yb, budget=budget)
     # Stochastic schemes ship one instance per shard (independent random
     # streams); rebind against the worker's cached network.
-    from repro.snn.engine import Simulator
-
-    network, steps, event_driven, density_threshold, early_exit = _WORKER_ARGS
-    sim = Simulator(
-        network,
-        scheme,
-        steps=steps,
-        event_driven=event_driven,
-        density_threshold=density_threshold,
-        early_exit=early_exit,
-    )
+    sim = _WORKER_SIM if scheme is None else _WORKER_SIM._replica(scheme)
     if compiled:
-        # A fresh scheme instance per shard cannot reuse a cached plan;
-        # skip the calibration probe (the expensive part) and keep the
-        # uncalibrated plan's bit-exact reference decisions.
+        # The worker's plan compiles once (cached on its simulator) and is
+        # reused by every shard this process executes.  A fresh scheme
+        # instance per shard cannot reuse a cached plan: it skips the
+        # calibration probe (the expensive part) and keeps the uncalibrated
+        # plan's bit-exact reference decisions.
+        calibrate = calibrate and scheme is None
         return sim.run_compiled(
-            xb, yb, batch_size=plan_batch, calibrate=False, budget=budget
+            xb, yb, batch_size=plan_batch, calibrate=calibrate, budget=budget
         )
-    return sim._run(xb, yb, budget=budget)
+    return sim.run(xb, yb, budget=budget)
+
+
+class WorkerPool(SupervisedPool):
+    """A supervised pool of worker processes, each replicating one simulator.
+
+    The pool :func:`run_parallel` and the serving dispatcher
+    (:mod:`repro.serve.dispatch`) share: ``sim`` and the plan options ship
+    once per worker through the pool initializer (:func:`worker_payload`),
+    and map shards with ``map(_run_shard, shards)``.  ``prefer`` lists
+    start methods in order of preference; an explicit ``start_method``
+    overrides it.  ``retry`` and ``on_rebuild`` configure the supervisor.
+    """
+
+    def __init__(
+        self,
+        sim,
+        workers: int,
+        compiled: bool = False,
+        plan_batch: int = 64,
+        calibrate: bool = True,
+        start_method: str | None = None,
+        prefer: tuple[str, ...] = ("fork",),
+        retry: RetryPolicy | None = None,
+        on_rebuild=None,
+    ):
+        if start_method is None:
+            methods = multiprocessing.get_all_start_methods()
+            start_method = next((m for m in prefer if m in methods), methods[0])
+        self.workers = int(workers)
+        self._context = multiprocessing.get_context(start_method)
+        self._payload = worker_payload(sim, compiled, plan_batch, calibrate)
+        super().__init__(self._make_pool, policy=retry, on_rebuild=on_rebuild)
+
+    def _make_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=self._context,
+            initializer=_init_worker,
+            initargs=(self._payload,),
+        )
 
 
 def merge_results(
@@ -244,6 +268,7 @@ def run_parallel(
     batch_size: int = 64,
     start_method: str | None = None,
     compiled: bool = False,
+    calibrate: bool = True,
 ) -> SimulationResult:
     """Run ``sim`` over ``x`` with mini-batches sharded across processes.
 
@@ -275,6 +300,9 @@ def run_parallel(
         scheme instance per shard, get uncalibrated per-shard plans instead
         (no probe-run cost, reference kernel decisions).  The serial
         fallback path honours ``compiled`` via ``Simulator.run_compiled``.
+    calibrate:
+        Whether compiled plans run the calibration pass — in the workers
+        and on the serial path alike.
     """
     shards_needed = num_shards(len(x), batch_size)
     workers = resolve_workers(workers, shards_needed)
@@ -283,10 +311,14 @@ def run_parallel(
             "monitors observe per-step state inside one process and cannot be "
             "merged across workers; run serially (workers=1) to attach monitors"
         )
-    if workers == 1 or len(x) <= batch_size:
+
+    def serial() -> SimulationResult:
         if compiled:
-            return sim.run_compiled(x, y, batch_size=batch_size)
+            return sim.run_compiled(x, y, batch_size=batch_size, calibrate=calibrate)
         return sim.run_batched(x, y, batch_size=batch_size)
+
+    if workers == 1 or len(x) <= batch_size:
+        return serial()
 
     stochastic = getattr(sim.scheme, "stochastic", False)
     shards = []
@@ -298,33 +330,22 @@ def run_parallel(
         shards.append((shard_scheme, xb, yb))
         sizes.append(len(xb))
 
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else methods[0]
-    payload = worker_payload(sim, compiled=compiled, plan_batch=batch_size)
-    context = multiprocessing.get_context(start_method)
-
-    def make_pool():
-        return ProcessPoolExecutor(
-            max_workers=min(workers, len(shards)),
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(payload,),
-        )
-
     # Supervised execution (DESIGN.md §13): a worker crash or spawn failure
     # rebuilds the pool with bounded backoff and re-dispatches only the
     # unfinished shards; completed shard results are kept.  Workload
     # exceptions (bad shapes, labels) re-raise verbatim and are NOT
     # retried.  Only an exhausted retry budget reaches the serial fallback.
-    supervisor = SupervisedPool(make_pool)
-    try:
-        results = supervisor.map(_run_shard, shards)
-    except PoolUnavailable as exc:
-        note_serial_fallback("repro.snn.parallel.run_parallel", exc)
-        if compiled:
-            return sim.run_compiled(x, y, batch_size=batch_size)
-        return sim.run_batched(x, y, batch_size=batch_size)
-    finally:
-        supervisor.close()
+    with WorkerPool(
+        sim,
+        min(workers, len(shards)),
+        compiled=compiled,
+        plan_batch=batch_size,
+        calibrate=calibrate,
+        start_method=start_method,
+    ) as pool:
+        try:
+            results = pool.map(_run_shard, shards)
+        except PoolUnavailable as exc:
+            note_serial_fallback("repro.snn.parallel.run_parallel", exc)
+            return serial()
     return merge_results(results, sizes, y, sim.bound.decision_time)

@@ -16,14 +16,16 @@ everything the per-step loop otherwise re-decides:
   across steps, batches and runs; smaller batches (including retirement
   compaction) use leading views of the same storage, so steady-state
   inference performs no per-step heap allocations.
-* **Phased executor.**  Window-scheduled schemes (TTFS, reverse) declare
+* **Window schedule.**  Window-scheduled schemes (TTFS, reverse) declare
   their firing windows (``NeuronDynamics.phase_window`` /
-  ``InputEncoder.emission_window``), which lets the compiled loop touch only
-  the stages that can possibly act at each step, call
+  ``InputEncoder.emission_window``).  The plan stores them once, with what
+  follows from them (:class:`WindowSchedule`), and the engine's one step
+  loop (``Simulator._run``) runs such a plan under its *window-phased*
+  policy: it touches only the stages that can act at each step, calls
   ``note_input_exhausted`` at the schedule-derived step (enabling scheduled
-  TTFS firing without the per-step quiescence chain), and stop at the end of
-  the last fire window — trimming over-provisioned budgets without running
-  the quiescence machinery at all.
+  TTFS firing without the per-step quiescence chain), drains fire-once
+  sources in bulk, and stops at the end of the last fire window — trimming
+  over-provisioned budgets without running the quiescence machinery.
 
 Parity contract: an *uncalibrated* plan (``calibrate=False``) makes exactly
 the reference engine's kernel decisions and is **bit-identical** — same
@@ -45,10 +47,11 @@ import numpy as np
 
 from repro.snn import events as ev
 from repro.snn.budget import Budget, BudgetTimer
-from repro.snn.engine import Simulator, _DriveBuffer, _start_timer
-from repro.snn.results import AnytimeResult, SimulationResult, confidence_margins
+from repro.snn.engine import Simulator, _check_batch_size
+from repro.snn.results import SimulationResult
+from repro.snn.schedule import StageWindow
 
-__all__ = ["Workspace", "StagePlan", "ExecutionPlan", "compile_plan"]
+__all__ = ["Workspace", "StagePlan", "WindowSchedule", "ExecutionPlan", "compile_plan"]
 
 
 class Workspace:
@@ -250,17 +253,72 @@ def _observe_flush_densities(sim: Simulator, probe: np.ndarray) -> dict:
         record.setdefault(stage.name, []).append(density)
 
     # A private simulator keeps monitor state and bound dynamics untouched.
-    probe_sim = Simulator(
-        sim.network,
-        sim.scheme,
-        steps=sim._steps_arg,
-        event_driven=sim.event_driven,
-        density_threshold=sim.density_threshold,
-        early_exit=sim.early_exit,
-    )
+    probe_sim = sim._replica()
     probe_sim._flush_observer = observer
     probe_sim._run(probe, None)
     return record
+
+
+@dataclass(frozen=True)
+class WindowSchedule:
+    """Run-constant data of the window-phased schedule policy.
+
+    Built once per plan; the engine's step loop (``Simulator._run``) reads
+    it on every window.  ``upstream_end[i]`` is the step after which stage
+    ``i``'s drive source is structurally silent; ``horizon`` is where the
+    loop stops (the end of the last fire window); ``awake[i][t]`` says
+    whether stage ``i`` can act at step ``t`` with no input arriving (its
+    integration start and fire phase); ``bias_step`` is the readout's
+    one-shot bias step.  ``encoder_drains`` / ``stage_drains[i]`` are the
+    structural half of the bulk-drain test: the source can drain, and its
+    receiver does not read its membrane before the source's window ends.
+    Whether the kernel table allows a drain under a binding budget is
+    checked per run.
+    """
+
+    windows: tuple[StageWindow, ...]
+    enc_end: int
+    upstream_end: tuple[int, ...]
+    horizon: int
+    awake: tuple[tuple[bool, ...], ...]
+    bias_step: int | None
+    encoder_drains: bool
+    stage_drains: tuple[bool, ...]
+
+
+def _window_schedule(runner: Simulator) -> WindowSchedule | None:
+    """The plan's window schedule, or ``None`` when the scheme has none."""
+    bound = runner.bound
+    enc_end = bound.encoder.emission_window()
+    windows = [dyn.phase_window() for dyn in bound.dynamics]
+    if (
+        not runner.event_driven
+        or enc_end is None
+        or any(w is None for w in windows)
+        or not bound.readout.rows_sealable()
+    ):
+        return None
+    horizon = min(bound.total_steps, max(enc_end, windows[-1].fire_end))
+    return WindowSchedule(
+        windows=tuple(windows),
+        enc_end=enc_end,
+        upstream_end=(enc_end, *(w.fire_end for w in windows[:-1])),
+        horizon=horizon,
+        awake=tuple(
+            tuple(
+                w.in_fire_phase(step) or step == w.integration_start
+                for step in range(horizon)
+            )
+            for w in windows
+        ),
+        bias_step=bound.readout.bias_time if bound.readout.bias_policy == "once_at" else None,
+        encoder_drains=windows[0].fire_start >= enc_end and hasattr(bound.encoder, "can_drain"),
+        stage_drains=tuple(
+            (i + 1 == len(windows) or windows[i + 1].fire_start >= w.fire_end)
+            and hasattr(dyn, "can_drain")
+            for i, (w, dyn) in enumerate(zip(windows, bound.dynamics))
+        ),
+    )
 
 
 @dataclass
@@ -280,11 +338,16 @@ class ExecutionPlan:
     workspace: Workspace | None = None
     batch_size: int = 64
     calibrated: bool = False
-    phased: bool = False
+    schedule: WindowSchedule | None = None
 
     @property
     def network(self):
         return self.simulator.network
+
+    @property
+    def phased(self) -> bool:
+        """Whether monitor-free runs take the window-phased policy."""
+        return self.schedule is not None
 
     def describe(self) -> str:
         """Human-readable per-stage operator table."""
@@ -334,13 +397,7 @@ class ExecutionPlan:
                 f"{self.batch_size}; use run_batched (which splits into "
                 f"capacity-sized chunks) or compile a larger plan"
             )
-        sim = self.simulator
-        for monitor in sim.monitors:
-            monitor.on_run_start(sim, x, y)
-        result = self._run(x, y, timer=_start_timer(budget, None))
-        for monitor in sim.monitors:
-            monitor.on_run_end(result)
-        return result
+        return self.simulator._session(x, y, budget, plan=self)
 
     def run_batched(
         self,
@@ -355,39 +412,19 @@ class ExecutionPlan:
         timer: wall-clock spans all mini-batches, ``max_steps`` applies to
         each window.
         """
-        from repro.snn.parallel import merge_results
-
-        sim = self.simulator
-        if batch_size is None:
-            batch_size = self.batch_size
-        elif isinstance(batch_size, bool) or batch_size < 1:
-            # No silent `or`-fallback: a zero/negative size is a caller bug.
-            raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
+        batch_size = _check_batch_size(
+            self.batch_size if batch_size is None else batch_size
+        )
         if batch_size > self.batch_size:
             raise ValueError(
                 f"mini-batch size {batch_size} exceeds this plan's compiled "
                 f"capacity {self.batch_size}; compile a larger plan"
             )
         if len(x) <= batch_size:
+            # One window is one run() call, so wrappers of run() (tracers,
+            # profilers) see every batch.
             return self.run(x, y, budget=budget)
-        for monitor in sim.monitors:
-            monitor.on_run_start(sim, x, y)
-        timer = _start_timer(budget, None)
-        shards, sizes = [], []
-        for start in range(0, len(x), batch_size):
-            xb = x[start : start + batch_size]
-            yb = y[start : start + batch_size] if y is not None else None
-            shards.append(self._run(xb, yb, timer=timer))
-            sizes.append(len(xb))
-        result = merge_results(shards, sizes, y, self.bound.decision_time)
-        if timer is not None:
-            result = AnytimeResult.from_result(
-                result,
-                any(getattr(s, "budget_exhausted", False) for s in shards),
-            )
-        for monitor in sim.monitors:
-            monitor.on_run_end(result)
-        return result
+        return self.simulator._session(x, y, budget, batch_size, plan=self)
 
     def _run(
         self,
@@ -395,283 +432,7 @@ class ExecutionPlan:
         y: np.ndarray | None,
         timer: BudgetTimer | None = None,
     ) -> SimulationResult:
-        # min_confidence needs the per-sample retirement machinery — route
-        # those runs through the engine loop, which shares this plan's
-        # kernels and arenas via plan=self.
-        if (
-            self.phased
-            and not self.simulator.monitors
-            and (timer is None or timer.min_confidence is None)
-        ):
-            return self._run_phased(x, y, timer)
-        return self.simulator._run(x, y, plan=self, timer=timer)
-
-    def _drain_target(
-        self,
-        receiver: StagePlan,
-        inbox: _DriveBuffer,
-        shape: tuple[int, ...],
-        dtype,
-        consumed: np.ndarray | None = None,
-    ) -> dict:
-        """Keyword arguments of a bulk drain towards ``receiver``.
-
-        The drain goes dense exactly when ``receiver.threshold`` would send
-        its packet through the GEMM (the kernel decision ``_propagate``
-        makes), writing into ``consumed`` — the draining stage's drive,
-        integrated and dead until that stage's next flush — or, without
-        one, into the receiver's own arena buffer, which lives until the
-        receiver flushes it.  A receiver with input already pending keeps
-        packets: its buffer merges them itself.
-        """
-        if not inbox.empty:
-            return {}
-        if consumed is None:
-            consumed = self.workspace.buffer(("drain", receiver.index), shape, dtype)
-        return {"out": consumed, "threshold": receiver.threshold, "workspace": self.workspace}
-
-    def _run_phased(
-        self,
-        x: np.ndarray,
-        y: np.ndarray | None,
-        timer: BudgetTimer | None = None,
-    ) -> SimulationResult:
-        """The window-scheduled fast loop (TTFS / reverse coding).
-
-        Touches only the stages whose schedule lets them act at each step
-        and derives input exhaustion from the windows instead of the
-        per-step quiescence chain; emissions, flush cadence and merge order
-        are exactly the reference engine's, so results are bit-identical to
-        the uncompiled ``early_exit=False`` run (and loss-free versus the
-        early-exit runtime).
-
-        A ``timer`` is checked between steps exactly like the engine loop,
-        and the bulk drains run the same with or without one.  A drain
-        emits spikes scheduled for future steps, so a run that truncates at
-        step ``t`` cuts them back (``cut_drain``): each drain's events at
-        step ``t`` or later leave its source's spike count, and the last
-        stage's drain, held aside until the loop ends, also leaves the
-        readout's input.  No other receiver needs the cut: it does not read
-        its membrane before the source's window ends, which a truncated
-        window never reached.  The spike step is read off the spike's
-        kernel weight, so under a binding timer only strictly decreasing
-        tables drain; any other keeps per-step firing.
-        """
-        sim = self.simulator
-        bound = self.bound
-        network = sim.network
-        if x.shape[1:] != tuple(network.input_shape):
-            raise ValueError(
-                f"input shape {x.shape[1:]} does not match network "
-                f"{network.input_shape}"
-            )
-        if y is not None and len(y) != len(x):
-            raise ValueError(f"labels length {len(y)} != batch {len(x)}")
-        compute_dtype = network.dtype
-        if x.dtype != compute_dtype:
-            x = x.astype(compute_dtype)
-        n = len(x)
-        pack_threshold = sim.density_threshold if sim.event_driven else 0.0
-
-        bound.encoder.reset(x)
-        for dyn in bound.dynamics:
-            dyn.reset(n)
-        bound.readout.reset(n)
-
-        spiking_stages = [s for s in network.stages if s.spiking]
-        readout_stage = network.stages[-1]
-        counts = {name: 0.0 for name in ["input", *(s.name for s in spiking_stages)]}
-
-        windows = [dyn.phase_window() for dyn in bound.dynamics]
-        num_stages = len(windows)
-        enc_end = bound.encoder.emission_window()
-        # Step after which stage i's drive source is structurally silent.
-        upstream_end = [enc_end] + [w.fire_end for w in windows[:-1]]
-        noted = [False] * num_stages
-        done = [False] * num_stages
-        readout = bound.readout
-        bias_step = readout.bias_time if readout.bias_policy == "once_at" else None
-
-        horizon = min(bound.total_steps, max(enc_end, windows[-1].fire_end))
-        buffers = [_DriveBuffer() for _ in spiking_stages]
-        readout_buffer = _DriveBuffer()
-        # receivers[s] / inboxes[s]: the plan and drive buffer of source s's
-        # receiver (s = 0 the encoder, s = i + 1 spiking stage i).
-        receivers = [*self.stage_plans, self.readout_plan]
-        inboxes = [*buffers, readout_buffer]
-
-        # Bulk drains (fire-once schemes): a source whose receiver does not
-        # read its membrane before the source's window ends can emit its
-        # whole remaining schedule as ONE packet — event positions are
-        # unique (at most one spike per neuron), so the receiver's merged
-        # drive is bit-identical to per-step delivery.  Always true on the
-        # baseline schedule and for the last stage; under early firing the
-        # overlap windows keep per-step (bucketed) delivery.  A binding
-        # budget also needs tables a truncated run can cut drains back on.
-        budget_active = timer is not None and timer.binds
-        drain_ok = [
-            (i + 1 == num_stages or windows[i + 1].fire_start >= windows[i].fire_end)
-            and getattr(dyn, "can_drain", None) is not None
-            and dyn.can_drain(cut=budget_active)
-            for i, dyn in enumerate(bound.dynamics)
-        ]
-        # (source, counts key, spikes) of every drain a truncation cuts
-        # back; the last stage's drain reaches the readout after the loop.
-        drained = []
-        held = None
-        encoder = bound.encoder
-        enc_steps = enc_end
-        if (
-            windows[0].fire_start >= enc_end
-            and getattr(encoder, "can_drain", None) is not None
-            and encoder.can_drain(cut=budget_active)
-        ):
-            packet, count = encoder.drain_events(
-                **self._drain_target(receivers[0], inboxes[0], x.shape, compute_dtype)
-            )
-            if bound.counts_input_spikes:
-                counts["input"] += float(count)
-                drained.append((encoder, "input", packet))
-            if packet is not None:
-                buffers[0].add(packet)
-            enc_steps = 0  # every pixel spike is already in flight
-
-        last = num_stages - 1
-        executed = horizon
-        truncated = False
-        for t in range(horizon):
-            if budget_active and timer.expired(t):
-                executed = t
-                truncated = True
-                break
-            if t < enc_steps:
-                spikes, count = ev.ingest(encoder.step(t), pack_threshold)
-                if bound.counts_input_spikes:
-                    counts["input"] += float(count)
-            else:
-                spikes = None
-            for i, (stage, dyn, win) in enumerate(
-                zip(spiking_stages, bound.dynamics, windows)
-            ):
-                arrived = spikes is not None
-                if arrived:
-                    buffers[i].add(spikes)
-                if done[i] or not (
-                    arrived or win.in_fire_phase(t) or t == win.integration_start
-                ):
-                    spikes = None
-                    continue  # schedule-silent: the stage cannot act at t
-                if (
-                    t == win.fire_start
-                    and not noted[i]
-                    and t >= upstream_end[i] - 1
-                    and drain_ok[i]
-                ):
-                    # Full drain: the last possible drive is flushed here,
-                    # so the potentials are final before the first fire
-                    # step — the whole fire window leaves as one packet.
-                    drive = sim._flush(stage, buffers[i], self.stage_plans[i])
-                    spikes, count = dyn.drain_fire_events(
-                        t - 1,
-                        drive,
-                        **self._drain_target(
-                            receivers[i + 1],
-                            inboxes[i + 1],
-                            (n, *stage.out_shape),
-                            compute_dtype,
-                            drive,
-                        ),
-                    )
-                    counts[stage.name] += float(count)
-                    if i == last:
-                        held, spikes = spikes, None
-                    else:
-                        drained.append((dyn, stage.name, spikes))
-                    noted[i] = True
-                    done[i] = True
-                    continue
-                if dyn.needs_drive(t):
-                    drive = sim._flush(stage, buffers[i], self.stage_plans[i])
-                else:
-                    drive = None
-                spikes, count = ev.ingest(dyn.step(drive, t), pack_threshold)
-                counts[stage.name] += float(count)
-            if spikes is not None:
-                readout_buffer.add(spikes)
-            if t == bias_step:
-                readout.accumulate(None, t)
-            for i, win in enumerate(windows):
-                if noted[i] or t < upstream_end[i] - 1 or not buffers[i].empty:
-                    continue
-                # No drive can arrive after this step: drain the remaining
-                # schedule in bulk where the receiver allows it, otherwise
-                # switch to the closed-form per-step firing schedule.
-                dyn = bound.dynamics[i]
-                noted[i] = True
-                if drain_ok[i]:
-                    name = spiking_stages[i].name
-                    packet, count = dyn.drain_fire_events(
-                        t,
-                        **self._drain_target(
-                            receivers[i + 1],
-                            inboxes[i + 1],
-                            (n, *spiking_stages[i].out_shape),
-                            compute_dtype,
-                        ),
-                    )
-                    counts[name] += float(count)
-                    if i == last:
-                        held = packet
-                    else:
-                        drained.append((dyn, name, packet))
-                        if packet is not None:
-                            inboxes[i + 1].add(packet)
-                    done[i] = True
-                else:
-                    dyn.note_input_exhausted(t)
-
-        if truncated:
-            for source, name, spikes in drained:
-                counts[name] -= source.cut_drain(spikes, executed)[1]
-            if held is not None:
-                held, removed = bound.dynamics[last].cut_drain(held, executed)
-                counts[spiking_stages[last].name] -= removed
-                # A cut dense tensor is re-measured, so the readout takes the
-                # kernel its remaining density selects, as per-step input would.
-                held, _ = ev.ingest(held, self.readout_plan.threshold)
-        if held is not None:
-            readout_buffer.add(held)
-        readout.absorb(sim._flush(readout_stage, readout_buffer, self.readout_plan))
-        # Truncated runs keep the full-schedule seal: a pending once_at bias
-        # IS applied, matching the engine's anytime seal (the partial answer
-        # is the score the full run would give if no further spike arrived).
-        scores = readout.seal_rows(
-            np.ones(n, dtype=bool), executed - 1, bound.total_steps
-        )
-        predictions = scores.argmax(axis=1)
-        accuracy = float((predictions == y).mean()) if y is not None else None
-        per_inference = {name: c / n for name, c in counts.items()}
-        if timer is not None:
-            return AnytimeResult(
-                scores=scores,
-                predictions=predictions,
-                accuracy=accuracy,
-                spike_counts=per_inference,
-                total_spikes=float(sum(per_inference.values())),
-                steps=executed,
-                decision_time=bound.decision_time,
-                margins=confidence_margins(scores),
-                budget_exhausted=truncated,
-            )
-        return SimulationResult(
-            scores=scores,
-            predictions=predictions,
-            accuracy=accuracy,
-            spike_counts=per_inference,
-            total_spikes=float(sum(per_inference.values())),
-            steps=executed,
-            decision_time=bound.decision_time,
-        )
+        return self.simulator._run(x, y, self, timer)
 
 
 def compile_plan(
@@ -682,28 +443,20 @@ def compile_plan(
     calibrate: bool = True,
 ) -> ExecutionPlan:
     """Build an :class:`ExecutionPlan` for ``sim`` (see ``Simulator.compile``)."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    batch_size = _check_batch_size(batch_size)
+    runner = sim
     if steps is not None and steps != sim._steps_arg:
-        runner = Simulator(
-            sim.network,
-            sim.scheme,
-            steps=steps,
-            monitors=sim.monitors,
-            event_driven=sim.event_driven,
-            density_threshold=sim.density_threshold,
-            early_exit=sim.early_exit,
-        )
-    else:
-        runner = sim
+        runner = sim._replica(steps=steps, monitors=sim.monitors)
     network = runner.network
     bound = runner.bound
     workspace = Workspace()
     dtype = network.dtype
 
-    spiking = [s for s in network.stages if s.spiking]
-    in_shapes = [tuple(network.input_shape)] + [tuple(s.out_shape) for s in spiking]
-    stage_plans = [
+    # The spiking stages, then the readout: each stage's input is the
+    # previous one's output.
+    stages = [*(s for s in network.stages if s.spiking), network.stages[-1]]
+    in_shapes = [tuple(network.input_shape)] + [tuple(s.out_shape) for s in stages]
+    plans = [
         StagePlan(
             index=i,
             name=stage.name,
@@ -713,27 +466,17 @@ def compile_plan(
             threshold=runner.density_threshold,
             workspace=workspace,
         )
-        for i, stage in enumerate(spiking)
+        for i, stage in enumerate(stages)
     ]
-    readout_plan = StagePlan(
-        index=len(spiking),
-        name=network.stages[-1].name,
-        stage=network.stages[-1],
-        in_shape=in_shapes[-1],
-        out_shape=tuple(network.stages[-1].out_shape),
-        threshold=runner.density_threshold,
-        workspace=workspace,
-    )
+    stage_plans, readout_plan = plans[:-1], plans[-1]
 
     if calibrate:
+        cal_batch = min(batch_size, 4)
         if probe is None:
             rng = np.random.default_rng(0)
-            probe = rng.random(
-                (min(batch_size, 4),) + tuple(network.input_shape)
-            ).astype(dtype)
+            probe = rng.random((cal_batch,) + tuple(network.input_shape)).astype(dtype)
         observed = _observe_flush_densities(runner, probe)
-        cal_batch = min(batch_size, 4)
-        for pstage in [*stage_plans, readout_plan]:
+        for pstage in plans:
             _calibrate_stage(
                 pstage,
                 cal_batch,
@@ -742,19 +485,13 @@ def compile_plan(
                 runner.density_threshold,
             )
 
-    phased = (
-        runner.event_driven
-        and bound.encoder.emission_window() is not None
-        and all(dyn.phase_window() is not None for dyn in bound.dynamics)
-        and bound.readout.rows_sealable()
-    )
     return ExecutionPlan(
         simulator=runner,
         bound=bound,
         stage_plans=stage_plans,
         readout_plan=readout_plan,
         workspace=workspace,
-        batch_size=int(batch_size),
+        batch_size=batch_size,
         calibrated=bool(calibrate),
-        phased=phased,
+        schedule=_window_schedule(runner),
     )

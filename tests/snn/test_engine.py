@@ -158,13 +158,21 @@ class TestBatchSizeValidation:
         with pytest.raises(ValueError, match="batch_size"):
             sim.run_compiled(tiny_data[2][:4], batch_size=bad)
 
-    @pytest.mark.parametrize("bad", [0, -8])
+    @pytest.mark.parametrize("bad", [0, -8, True, 2.5])
     def test_compile_rejects_bad_batch_size(self, tiny_network, bad):
         sim = Simulator(tiny_network, TTFSCoding(window=12))
         with pytest.raises(ValueError, match="batch_size"):
             sim.compile(batch_size=bad)
 
-    @pytest.mark.parametrize("bad", [0, -2, True])
+    @pytest.mark.parametrize("bad", [0, True, 2.5])
+    def test_compile_plan_rejects_bad_batch_size(self, tiny_network, bad):
+        from repro.snn.plan import compile_plan
+
+        sim = Simulator(tiny_network, TTFSCoding(window=12))
+        with pytest.raises(ValueError, match="batch_size"):
+            compile_plan(sim, batch_size=bad, calibrate=False)
+
+    @pytest.mark.parametrize("bad", [0, -2, True, 2.5])
     def test_plan_run_batched_rejects_bad_batch_size(
         self, tiny_network, tiny_data, bad
     ):
