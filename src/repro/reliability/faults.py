@@ -1,10 +1,11 @@
 """Deterministic fault injection (docs/DESIGN.md §13).
 
-The `BrokenExecutor` fallback paths in :mod:`repro.snn.parallel` and
-:mod:`repro.serve.dispatch` were untestable before this harness: nothing
-could make a worker die on cue.  This module plants named **fault
-points** at the reliability-critical seams and lets tests (and the CI
-chaos job) arm them with a :class:`FaultPlan`:
+The `BrokenExecutor` fallback paths of :mod:`repro.snn.parallel`'s worker
+pool, in ``run_parallel`` and in the service that keeps one, were
+untestable before this harness: nothing could make a worker die on cue.
+This module plants named **fault points** at the reliability-critical
+seams and lets tests (and the CI chaos job) arm them with a
+:class:`FaultPlan`:
 
 ========================  ====================================================
 ``worker.crash``          a pool worker hard-exits (``os._exit``) inside

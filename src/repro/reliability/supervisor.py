@@ -92,7 +92,7 @@ class SupervisedPool:
         self.rebuilds = 0
         #: Permanently shut down (see :meth:`close`).  A closed supervisor
         #: refuses to build pools: the watchdog's force-kill of an
-        #: abandoned dispatcher must not be raced by a zombie flush thread
+        #: abandoned pool must not be raced by a zombie flush thread
         #: quietly respawning workers through the old supervisor.
         self.closed = False
 
@@ -200,7 +200,7 @@ class SupervisedPool:
 
         After ``close()``, :meth:`map` raises :class:`PoolUnavailable`
         instead of quietly spawning fresh workers — essential when the
-        flush watchdog abandons a hung dispatcher: the abandoned thread
+        flush watchdog abandons a hung pool: the abandoned thread
         may still be inside :meth:`map`, and must not resurrect the pool
         the watchdog just force-killed.
         """

@@ -4,11 +4,13 @@ One extensible seam for every way inference executes (docs/DESIGN.md §12):
 
 * :class:`~repro.runtime.config.RunConfig` — a validated, immutable
   description of one run (batch size, workers, compiled, calibration,
-  steps, monitors, dtype), rejecting illegal combinations eagerly;
+  steps, monitors, dtype, deadline and compute budget), and the one table
+  of legal combinations, rejecting illegal ones eagerly;
 * :class:`~repro.runtime.backends.Backend` — the execution protocol, with
   a string-keyed registry (``"serial"``, ``"compiled"``, ``"parallel"``,
-  ``"anytime"``, ``"service"``) open to third-party registration,
-  mirroring :mod:`repro.coding.registry`;
+  ``"service"``) open to third-party registration, mirroring
+  :mod:`repro.coding.registry`; a compute budget is an option the
+  ``serial`` and ``compiled`` backends run under, not a backend;
 * :class:`~repro.runtime.runtime.Runtime` — per-model state: compiled
   simulator/plan caching, coding keys, dtype variants, backend instances
   and lifecycle (``close()`` / context manager).
@@ -19,7 +21,6 @@ Entry points: ``T2FSNN.run(x, y, config=RunConfig(...))``,
 
 from repro.runtime.backends import (
     BACKEND_FACTORIES,
-    AnytimeBackend,
     Backend,
     CompiledBackend,
     ParallelBackend,
@@ -46,6 +47,5 @@ __all__ = [
     "SerialBackend",
     "CompiledBackend",
     "ParallelBackend",
-    "AnytimeBackend",
     "ServiceBackend",
 ]

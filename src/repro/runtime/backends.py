@@ -11,15 +11,15 @@ every execution seam grown so far:
 * ``"parallel"`` — multiprocess mini-batch sharding
   (:func:`repro.snn.parallel.run_parallel`), composing with ``compiled``
   via per-worker plans;
-* ``"anytime"`` — budget-bounded execution (DESIGN.md §14): truncates the
-  simulation window when ``config.budget_ms`` expires and/or retires
-  samples at ``config.min_confidence``, returning an
-  :class:`~repro.snn.results.AnytimeResult` (current argmax + margins);
-  auto-selected whenever a budget field is set;
 * ``"service"`` — the online micro-batching service (DESIGN.md §11); its
   :meth:`ServiceBackend.open` backs ``T2FSNN.serve()``, and its
   ``execute`` routes a batch through a transient service (the parity
   tests lean on this to pin request-path results to the batch engine's).
+
+A compute budget is an option of a run, not a backend: ``serial`` and
+``compiled`` turn ``config.budget_ms`` / ``config.min_confidence`` into a
+:class:`~repro.snn.budget.Budget` and return an
+:class:`~repro.snn.results.AnytimeResult` (DESIGN.md §14).
 
 The registry mirrors :mod:`repro.coding.registry`: third parties register
 a factory under a new name (:func:`register_backend`) and select it with
@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 import numpy as np
 
 from repro.runtime.config import RunConfig
+from repro.snn.budget import Budget
 from repro.snn.results import SimulationResult
 
 if TYPE_CHECKING:
@@ -51,7 +52,6 @@ __all__ = [
     "SerialBackend",
     "CompiledBackend",
     "ParallelBackend",
-    "AnytimeBackend",
     "ServiceBackend",
 ]
 
@@ -128,13 +128,6 @@ def select_backend(config: RunConfig, num_samples: int) -> str:
     """
     if config.backend is not None:
         return config.backend
-    if (
-        config.budget_ms is not None or config.min_confidence is not None
-    ) and config.deadline_ms is None:
-        # Budget fields mean anytime execution; deadline_ms + budget_ms
-        # together is the served combination, which Runtime.run rejects
-        # for batch runs with the clearer deadline message.
-        return "anytime"
     if config.parallel_requested:
         from repro.snn.parallel import num_shards, resolve_workers
 
@@ -144,6 +137,14 @@ def select_backend(config: RunConfig, num_samples: int) -> str:
     if config.compiled:
         return "compiled"
     return "serial"
+
+
+def _budget(config: RunConfig) -> Budget | None:
+    """The :class:`~repro.snn.budget.Budget` a config's budget fields ask
+    for, or ``None`` for an unbounded run."""
+    if config.budget_ms is None and config.min_confidence is None:
+        return None
+    return Budget(ms=config.budget_ms, min_confidence=config.min_confidence)
 
 
 class SerialBackend:
@@ -161,9 +162,10 @@ class SerialBackend:
         sim = runtime.simulator(
             monitors=config.monitors, steps=config.steps, dtype=config.dtype
         )
+        budget = _budget(config)
         if config.batch_size is None:
-            return sim.run(x, y)
-        return sim.run_batched(x, y, batch_size=config.batch_size)
+            return sim.run(x, y, budget=budget)
+        return sim.run_batched(x, y, batch_size=config.batch_size, budget=budget)
 
     def close(self) -> None:
         pass
@@ -196,7 +198,11 @@ class CompiledBackend:
         else:
             sim = runtime.compiled_simulator(steps=config.steps, dtype=config.dtype)
         return sim.run_compiled(
-            x, y, batch_size=config.resolved_batch_size, calibrate=config.calibrate
+            x,
+            y,
+            batch_size=config.resolved_batch_size,
+            calibrate=config.calibrate,
+            budget=_budget(config),
         )
 
     def close(self) -> None:
@@ -229,50 +235,6 @@ class ParallelBackend:
             compiled=config.compiled,
             calibrate=config.calibrate,
         )
-
-    def close(self) -> None:
-        pass
-
-
-class AnytimeBackend:
-    """Budget-bounded execution: anytime inference (DESIGN.md §14).
-
-    Builds a :class:`~repro.snn.budget.Budget` from ``config.budget_ms``
-    and/or ``config.min_confidence`` and runs the engine under it; the
-    result is always an :class:`~repro.snn.results.AnytimeResult` carrying
-    per-sample confidence margins and whether the budget truncated the
-    window.  ``config.compiled`` composes for monitor-free runs through
-    the runtime's cached compiled simulator (the step loop checks the
-    same budget between steps under either schedule policy).
-    """
-
-    name = "anytime"
-
-    def execute(
-        self,
-        runtime: Runtime,
-        config: RunConfig,
-        x: np.ndarray,
-        y: np.ndarray | None = None,
-    ) -> SimulationResult:
-        from repro.snn.budget import Budget
-
-        budget = Budget(ms=config.budget_ms, min_confidence=config.min_confidence)
-        if config.compiled and not config.monitors:
-            sim = runtime.compiled_simulator(steps=config.steps, dtype=config.dtype)
-            return sim.run_compiled(
-                x,
-                y,
-                batch_size=config.resolved_batch_size,
-                calibrate=config.calibrate,
-                budget=budget,
-            )
-        sim = runtime.simulator(
-            monitors=config.monitors, steps=config.steps, dtype=config.dtype
-        )
-        if config.batch_size is None:
-            return sim.run(x, y, budget=budget)
-        return sim.run_batched(x, y, batch_size=config.batch_size, budget=budget)
 
     def close(self) -> None:
         pass
@@ -320,6 +282,9 @@ class ServiceBackend:
         )
 
     def execute(self, runtime, config, x, y=None) -> SimulationResult:
+        from repro.snn.engine import _check_inputs
+
+        _check_inputs(x, y)
         capacity = min(config.resolved_batch_size, max(1, len(x)))
         with self.open(runtime, config, max_batch=capacity, cache_size=0) as service:
             results = service.predict_many(x, timeout=600.0)
@@ -344,5 +309,4 @@ class ServiceBackend:
 register_backend("serial", SerialBackend)
 register_backend("compiled", CompiledBackend)
 register_backend("parallel", ParallelBackend)
-register_backend("anytime", AnytimeBackend)
 register_backend("service", ServiceBackend)

@@ -14,13 +14,19 @@ message naming the conflict:
 * ``monitors`` cannot be combined with a parallel ``workers`` request —
   monitors observe per-step state inside one process and cannot be merged
   across address spaces;
+* ``budget_ms`` / ``min_confidence`` cannot be combined with a parallel
+  ``workers`` request — a budget bounds one in-process window;
 * an explicit ``backend`` must exist in the registry and must not
   contradict the other fields (``backend="serial"`` with
   ``compiled=True``, ``backend="parallel"`` with ``workers=1``,
-  ``backend="service"`` with monitors).
+  ``deadline_ms`` on a batch backend, monitors, ``dtype`` or
+  ``min_confidence`` on ``backend="service"``).
 
-A ``RunConfig`` is hashable and immutable, so it can key caches; use
-:func:`dataclasses.replace` to derive variants.
+This is the one table of legal combinations: ``Runtime.run`` and
+``Runtime.serve`` re-validate with the backend they resolved
+(``dataclasses.replace(config, backend=name)``) instead of keeping rules
+of their own.  A ``RunConfig`` is hashable and immutable, so it can key
+caches; use :func:`dataclasses.replace` to derive variants.
 """
 
 from __future__ import annotations
@@ -92,23 +98,24 @@ class RunConfig:
         still waiting in the micro-batcher when it expires is rejected
         with ``DeadlineExceeded`` before any compute is spent.  Only the
         service honours deadlines — batch backends run to completion — so
-        combining it with an explicit builtin batch backend is rejected
-        here, and ``Runtime.run`` rejects it for auto-selected batch
-        backends too.  See DESIGN.md §13/§14 for the deadline/budget
-        split.
+        combining it with a builtin batch backend, named or auto-selected,
+        is rejected.  See DESIGN.md §13/§14 for the deadline/budget split.
     budget_ms:
         *Execution* compute budget in milliseconds (docs/DESIGN.md §14).
-        Batch runs route to the ``"anytime"`` backend, which truncates the
-        simulation window when the budget expires and returns an
-        :class:`~repro.snn.results.AnytimeResult` (current argmax +
-        confidence margins).  Under ``serve()`` it bounds each dispatched
-        flush's execution (the watchdog deadline), complementing
-        ``deadline_ms``'s queueing bound.
+        The ``"serial"`` and ``"compiled"`` backends run under it: the
+        simulation window is truncated when the budget expires and the run
+        returns an :class:`~repro.snn.results.AnytimeResult` (current
+        argmax + confidence margins).  Under ``serve()`` it bounds each
+        dispatched flush's execution (the watchdog deadline),
+        complementing ``deadline_ms``'s queueing bound.  Not combinable
+        with parallel ``workers``.
     min_confidence:
-        Per-sample early decision margin (``"anytime"`` backend only): a
-        sample whose accumulated evidence margin reaches this value is
-        retired immediately, freeing batch capacity before the budget
-        expires.  Deliberately lossy; not available under ``serve()``.
+        Per-sample early decision margin (``"serial"`` and ``"compiled"``
+        backends): a sample whose accumulated evidence margin reaches this
+        value is retired immediately, freeing batch capacity before the
+        budget expires; the run returns an
+        :class:`~repro.snn.results.AnytimeResult`.  Deliberately lossy;
+        not available under ``serve()``.
     """
 
     batch_size: int | None = None
@@ -221,7 +228,7 @@ class RunConfig:
                     "monitors observe per-step state and cannot be attached "
                     'to backend="service" (no meaning at request granularity)'
                 )
-            if self.backend in ("serial", "compiled", "parallel", "anytime") and (
+            if self.backend in ("serial", "compiled", "parallel") and (
                 self.deadline_ms is not None
             ):
                 raise ValueError(
@@ -229,17 +236,6 @@ class RunConfig:
                     f'backend={self.backend!r} runs batches to completion '
                     "and cannot honour it (use the service backend; for an "
                     "execution-side bound on batch runs use budget_ms)"
-                )
-            if self.backend in ("serial", "compiled", "parallel") and budgeted:
-                raise ValueError(
-                    "budget_ms/min_confidence select anytime execution; "
-                    f"backend={self.backend!r} runs the window to completion "
-                    '— drop the explicit backend or use backend="anytime"'
-                )
-            if self.backend == "anytime" and not budgeted:
-                raise ValueError(
-                    'backend="anytime" needs a bound: set budget_ms and/or '
-                    "min_confidence"
                 )
             if self.backend == "service" and self.min_confidence is not None:
                 raise ValueError(

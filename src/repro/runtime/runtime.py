@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Sequence
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -158,21 +159,17 @@ class Runtime:
         y: np.ndarray | None = None,
         config: RunConfig | None = None,
     ) -> SimulationResult:
-        """Execute one batch through the backend ``config`` selects."""
+        """Execute one batch through the backend ``config`` selects.
+
+        The config is re-validated with the resolved backend named, so an
+        auto-selected backend obeys :class:`RunConfig`'s rules exactly as
+        an explicit one would.
+        """
         self._check_open()
         config = RunConfig() if config is None else config
         name = select_backend(config, len(x))
-        if config.deadline_ms is not None and name in (
-            "serial",
-            "compiled",
-            "parallel",
-            "anytime",
-        ):
-            raise ValueError(
-                "deadline_ms is a served-request option; this run selected "
-                f"the {name!r} backend, which executes batches to completion "
-                "— drop deadline_ms or serve() the model instead"
-            )
+        if config.backend != name:
+            config = replace(config, backend=name)
         return self.backend(name).execute(self, config, x, y)
 
     def serve(
@@ -186,34 +183,20 @@ class Runtime:
         ``cache_size``, ...) pass straight to the service constructor —
         micro-batch sizing is governed by ``max_batch``/``capacities``, not
         ``config.batch_size``.  Config options the service cannot honour
-        (``dtype``, a non-service ``backend``) are rejected loudly rather
-        than ignored.  Services opened here are closed by :meth:`close` if
-        the caller has not already closed them.
+        (monitors, ``dtype``, ``min_confidence``, a non-service
+        ``backend``) are rejected loudly rather than ignored — the first
+        three by re-validating ``config`` as ``backend="service"``.
+        Services opened here are closed by :meth:`close` if the caller has
+        not already closed them.
         """
         self._check_open()
         config = RunConfig() if config is None else config
-        if config.monitors:
-            raise ValueError(
-                "monitors observe per-step state and cannot be attached to "
-                "a request-serving runtime; run serially to attach monitors"
-            )
-        if config.dtype is not None:
-            raise ValueError(
-                "serve() does not support a dtype override: the service "
-                "sources simulators at the model network's dtype; cast the "
-                "network (ConvertedNetwork.astype) to serve another precision"
-            )
         if config.backend not in (None, "service"):
             raise ValueError(
                 f"serve() always builds the service backend; a config naming "
                 f"backend={config.backend!r} cannot be honoured"
             )
-        if config.min_confidence is not None:
-            raise ValueError(
-                "min_confidence retires individual samples inside a batch "
-                "window and has no meaning at request granularity; use "
-                "budget_ms to bound served execution"
-            )
+        config = replace(config, backend="service")
         backend = self.backend("service")
         if not hasattr(backend, "open"):
             raise TypeError(

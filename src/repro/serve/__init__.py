@@ -13,8 +13,9 @@ decision available at a fixed schedule depth).  See docs/DESIGN.md §11.
   ``max_wait_ms``, whichever first;
 * :class:`~repro.serve.cache.ResultCache` — digest-keyed LRU replay of
   repeated inputs;
-* :mod:`~repro.serve.dispatch` — serial or persistent-pool sharded
-  execution of flushed micro-batches;
+* flushes execute in the dispatch thread or, with ``workers > 1``, over
+  a persistent :class:`~repro.snn.parallel.WorkerPool` — the one shard
+  runner, shared with ``run_parallel``;
 * :class:`~repro.serve.aio.AsyncInferenceService` — asyncio adapter
   (``await aio.predict(x)``) bridging served futures onto the event loop;
 * :mod:`~repro.serve.http` — dependency-free HTTP edge
@@ -26,11 +27,15 @@ The HTTP layer is imported lazily (``repro.serve.http``), keeping the
 in-process serving path free of the network modules.
 """
 
-from repro.reliability.errors import DeadlineExceeded, QueueFull, ServiceClosed
+from repro.reliability.errors import (
+    DeadlineExceeded,
+    PoolUnavailable,
+    QueueFull,
+    ServiceClosed,
+)
 from repro.serve.aio import AsyncInferenceService
 from repro.serve.batcher import MicroBatcher, ServedFuture
 from repro.serve.cache import ResultCache, input_digest
-from repro.serve.dispatch import PoolUnavailable, ShardedDispatcher
 from repro.serve.service import (
     InferenceService,
     ServedResult,
@@ -52,5 +57,4 @@ __all__ = [
     "DeadlineExceeded",
     "QueueFull",
     "ServiceClosed",
-    "ShardedDispatcher",
 ]

@@ -13,8 +13,8 @@ returned — row independence of the simulation makes the real rows'
 predictions bit-identical to ``Simulator.run`` (the padding rows are
 discarded).  A digest-keyed LRU :class:`~repro.serve.cache.ResultCache`
 replays repeated inputs without touching the engine, and ``workers > 1``
-dispatches flushes over a persistent sharded worker pool
-(:mod:`repro.serve.dispatch`).
+shards flushes over a persistent :class:`~repro.snn.parallel.WorkerPool`
+— the same shard runner ``run_parallel`` uses, built once per service.
 
 The service tracks its source's coding configuration: serving a
 :class:`~repro.core.t2fsnn.T2FSNN` whose kernels / early-firing mode /
@@ -31,8 +31,8 @@ flush — followers never enter a micro-batch, they are resolved with a
 private copy of the primary's scores the moment its flush lands
 (``ServedResult.deduped``, counted in ``ServiceStats.dedup_hits``).
 
-Reliability (docs/DESIGN.md §13): the sharded dispatcher's pool is
-supervised (crash → rebuild → re-dispatch), and pool attempts are gated
+Reliability (docs/DESIGN.md §13): the worker pool is supervised
+(crash → rebuild → re-dispatch), and pool attempts are gated
 by a :class:`~repro.reliability.breaker.CircuitBreaker` — a flush whose
 pool retries are exhausted serves serially and records a failure;
 ``failure_threshold`` consecutive failures trip the breaker open (all
@@ -47,9 +47,9 @@ counters.
 Deadline enforcement end to end (docs/DESIGN.md §14): ``deadline_ms``
 bounds *queue* time (stale requests culled before compute);
 ``budget_ms`` bounds *execution*.  A budgeted flush runs on a dedicated
-runner thread as an anytime window (the engine gets a fraction of the
-tightest member budget), while the dispatch thread doubles as a **flush
-watchdog**: a flush still executing past its full budget is abandoned —
+runner thread as an anytime window (the engine, or each pool shard,
+gets a fraction of the tightest member budget), while the dispatch
+thread doubles as a **flush watchdog**: a flush still executing past its full budget is abandoned —
 members settle with :class:`DeadlineExceeded` within one flush deadline,
 the abandoned runner is fenced off by a flush *epoch* (it can never
 touch shared state again), and plans/pool are force-rebuilt so the next
@@ -80,10 +80,9 @@ from repro.reliability.log import note_serial_fallback
 from repro.reliability.supervisor import RetryPolicy
 from repro.serve.batcher import MicroBatcher, ServedFuture
 from repro.serve.cache import ResultCache, input_digest
-from repro.serve.dispatch import ShardedDispatcher
 from repro.snn.budget import Budget
 from repro.snn.engine import Simulator
-from repro.snn.parallel import resolve_workers
+from repro.snn.parallel import WorkerPool, resolve_workers
 from repro.snn.results import confidence_margins
 
 __all__ = ["ServedResult", "ServiceStats", "ServiceHealth", "InferenceService"]
@@ -368,7 +367,7 @@ class InferenceService:
         consulted when ``workers > 1``.
     retry:
         :class:`~repro.reliability.supervisor.RetryPolicy` for pool
-        rebuilds inside the sharded dispatcher; ``None`` uses the
+        rebuilds inside the worker pool; ``None`` uses the
         supervisor default.
     """
 
@@ -448,8 +447,8 @@ class InferenceService:
         scheme = source.scheme if self._runtime is None else None
         self._workers = resolve_workers(workers, self.max_batch)
         self._start_method = start_method
-        self._dispatcher: ShardedDispatcher | None = None
-        self._dispatcher_key = None
+        self._pool: WorkerPool | None = None
+        self._pool_key = None
         if self._workers > 1 and scheme is not None and getattr(
             scheme, "stochastic", False
         ):
@@ -688,7 +687,7 @@ class InferenceService:
         return self.capacities[-1]  # pragma: no cover - n <= max_batch always
 
     def _note_rebuild(self, attempt: int, exc: BaseException) -> None:
-        """Dispatcher supervisor observer: count pool rebuilds."""
+        """Worker-pool supervisor observer: count pool rebuilds."""
         with self._stats_lock:
             self._stats.pool_rebuilds += 1
 
@@ -696,32 +695,35 @@ class InferenceService:
         """Run one stacked micro-batch; returns scores for the real rows."""
         return self._execute_budgeted(key, xs, None, self._flush_epoch)[0]
 
-    def _drop_dispatcher(self, force: bool = False) -> None:
-        """Close and forget the sharded dispatcher, if any."""
-        dispatcher, self._dispatcher = self._dispatcher, None
-        self._dispatcher_key = None
-        if dispatcher is not None:
-            dispatcher.close(force=force)
+    def _drop_pool(self, force: bool = False) -> None:
+        """Close and forget the worker pool, if any."""
+        pool, self._pool = self._pool, None
+        self._pool_key = None
+        if pool is not None:
+            pool.close(force=force)
 
-    def _ensure_dispatcher(self, key) -> ShardedDispatcher:
-        if self._dispatcher is None:
+    def _ensure_pool(self, key) -> WorkerPool:
+        if self._pool is None:
             sim = self._sim_for(key)
             if self._steps is not None and sim._steps_arg != self._steps:
                 # The payload ships sim._steps_arg, so the service's
                 # steps override must be baked into the replica.
                 sim = sim._replica(steps=self._steps)
-            self._dispatcher = ShardedDispatcher(
+            # One plan per worker, sized to its shard.  Fork comes last:
+            # forking this multithreaded process can deadlock children.
+            self._pool = WorkerPool(
                 sim,
-                workers=self._workers,
-                shard_size=max(1, -(-self.max_batch // self._workers)),
+                self._workers,
                 compiled=True,
+                plan_batch=max(1, -(-self.max_batch // self._workers)),
                 calibrate=self._calibrate,
                 start_method=self._start_method,
+                prefer=("forkserver", "spawn", "fork"),
                 retry=self._retry,
                 on_rebuild=self._note_rebuild,
             )
-            self._dispatcher_key = key
-        return self._dispatcher
+            self._pool_key = key
+        return self._pool
 
     def _padded_plan(self, key, xs: np.ndarray):
         """The serial plan for this flush, plus ``xs`` padded to its capacity."""
@@ -752,7 +754,7 @@ class InferenceService:
         flush watchdog.  The ``epoch`` snapshot detects abandonment: if the
         watchdog gave up on this flush it already settled the members and
         rebuilt the execution state, so a late-waking runner (a *zombie*)
-        must not touch the service's shared plans/dispatcher/breaker — it
+        must not touch the service's shared plans/pool/breaker — it
         bails out with :class:`_FlushAbandoned` instead.
         """
         if engine_ms is not None:
@@ -760,14 +762,13 @@ class InferenceService:
         if epoch != self._flush_epoch:
             raise _FlushAbandoned()
         n = len(xs)
-        if self._dispatcher is not None and self._dispatcher_key != key:
+        if self._pool is not None and self._pool_key != key:
             # The model was reconfigured: workers hold plans for the old
             # coding key, so the pool must be rebuilt.
-            self._drop_dispatcher()
+            self._drop_pool()
         if self._workers > 1 and self._breaker.allow():
             try:
-                dispatcher = self._ensure_dispatcher(key)
-                scores, exhausted = dispatcher.run_budgeted(xs, engine_ms)
+                result = self._ensure_pool(key).run(xs, budget_ms=engine_ms)
             except PoolUnavailable as exc:
                 if epoch != self._flush_epoch:
                     # The watchdog force-closed our pool out from under us;
@@ -778,10 +779,10 @@ class InferenceService:
                 note_serial_fallback("repro.serve.InferenceService", exc)
                 with self._stats_lock:
                     self._stats.serial_fallbacks += 1
-                self._drop_dispatcher()
+                self._drop_pool()
             else:
                 self._breaker.record_success()
-                return scores, exhausted
+                return result.scores, getattr(result, "budget_exhausted", False)
         faults.check(faults.KERNEL_EXCEPTION)
         plan, xs = self._padded_plan(key, xs)
         budget = None if engine_ms is None else Budget(ms=engine_ms)
@@ -937,15 +938,15 @@ class InferenceService:
         The abandoned runner cannot be interrupted — it may be deep inside
         a compiled plan or blocked on a wedged pool.  Instead of sharing
         state with it, the service walks away: plans, the generation
-        simulator and the dispatcher are dropped (the dispatcher's pool
-        force-killed and its supervisor *closed*, so the zombie's next
-        pool touch raises instead of respawning workers), and the next
+        simulator and the worker pool are dropped (the pool force-killed
+        and its supervisor *closed*, so the zombie's next pool touch
+        raises instead of respawning workers), and the next
         flush rebuilds everything fresh under the new epoch.
         """
         self._plans = {}
         self._gen_sim = None
         self._gen_key = None
-        self._drop_dispatcher(force=True)
+        self._drop_pool(force=True)
 
     def _settle_flush(
         self, requests, key, scores, partial: bool = False
@@ -1072,7 +1073,7 @@ class InferenceService:
             return
         self._closed = True
         self._batcher.close()
-        self._drop_dispatcher()
+        self._drop_pool()
 
     def __enter__(self) -> "InferenceService":
         return self

@@ -70,6 +70,14 @@ def _check_batch_size(batch_size) -> int:
     return int(batch_size)
 
 
+def _check_inputs(x: np.ndarray, y: np.ndarray | None) -> None:
+    """Reject an empty ``x`` or labels of another length, before any compute."""
+    if len(x) == 0:
+        raise ValueError("x holds no samples; inference needs at least one")
+    if y is not None and len(y) != len(x):
+        raise ValueError(f"labels length {len(y)} != number of samples {len(x)}")
+
+
 def _drain_target(receiver, inbox, shape, dtype, consumed=None) -> dict:
     """Keyword arguments of a bulk drain towards ``receiver`` (a StagePlan).
 
@@ -366,6 +374,7 @@ class Simulator:
         """
         if budget is not None and not isinstance(budget, Budget):
             raise TypeError(f"budget must be a Budget or None, got {budget!r}")
+        _check_inputs(x, y)
         for monitor in self.monitors:
             monitor.on_run_start(self, x, y)
         timer = budget.start() if budget is not None else None
@@ -472,8 +481,6 @@ class Simulator:
                 f"input shape {x.shape[1:]} does not match network "
                 f"{self.network.input_shape}"
             )
-        if y is not None and len(y) != len(x):
-            raise ValueError(f"labels length {len(y)} != batch {len(x)}")
         compute_dtype = self.network.dtype
         if x.dtype != compute_dtype:
             x = x.astype(compute_dtype)

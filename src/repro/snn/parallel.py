@@ -2,16 +2,19 @@
 
 Python's GIL caps a single simulator process at one core, so the road to
 "as fast as the hardware allows" on multi-core CPUs is process-level data
-parallelism: :func:`run_parallel` shards a test set into mini-batches,
-ships the pickled :class:`~repro.convert.converter.ConvertedNetwork` and
-coding scheme to a pool of worker processes once (pool initializer), runs
-each shard through a per-worker :class:`~repro.snn.engine.Simulator`, and
-merges the :class:`~repro.snn.results.SimulationResult` shards exactly like
-``Simulator.run_batched`` — identical scores, predictions and per-inference
-spike counts, in the original sample order.  Stochastic schemes (Poisson
-input) cannot reproduce the serial run's draws; they ship one scheme
-instance per shard (``CodingScheme.shard_instance``) so every shard draws
-an *independent* stream instead of workers replaying identical noise.
+parallelism.  :meth:`WorkerPool.run`, the one shard runner, splits a
+batch into mini-batch shards, runs each through a per-worker
+:class:`~repro.snn.engine.Simulator` (network and scheme pickled once per
+worker by the pool initializer), and merges the
+:class:`~repro.snn.results.SimulationResult` shards exactly like
+``Simulator.run_batched`` — identical scores, predictions and
+per-inference spike counts, in the original sample order.
+:func:`run_parallel` builds a pool per call; the service
+(:mod:`repro.serve.service`) keeps one across flushes.  Stochastic
+schemes (Poisson input) cannot reproduce the serial run's draws; they
+ship one scheme instance per shard (``CodingScheme.shard_instance``) so
+every shard draws an *independent* stream instead of workers replaying
+identical noise.
 
 Degradation is graceful by construction: ``workers=1`` (or a test set that
 fits one mini-batch) never touches multiprocessing, ``workers="auto"``
@@ -42,7 +45,7 @@ from repro.reliability.errors import PoolUnavailable
 from repro.reliability.log import note_serial_fallback
 from repro.reliability.supervisor import RetryPolicy, SupervisedPool
 from repro.snn.budget import Budget
-from repro.snn.results import SimulationResult
+from repro.snn.results import AnytimeResult, SimulationResult
 
 __all__ = [
     "run_parallel",
@@ -59,8 +62,7 @@ def num_shards(n: int, batch_size: int) -> int:
 
     The shared home of the shard-count ceil division: the parallel runner
     and the runtime's backend selection both size their shard plans with
-    it (the serving dispatcher's ``shard_size`` is a different quotient —
-    samples per worker, not shards per set).
+    it.
     """
     if isinstance(batch_size, bool) or batch_size < 1:
         raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
@@ -105,9 +107,9 @@ def worker_payload(
 ) -> bytes:
     """Pickle a simulator's replication recipe for :func:`_init_worker`.
 
-    One payload is shipped per pool (via the initializer), not per shard;
-    the serving layer reuses it to keep a *persistent* worker pool across
-    micro-batch flushes (:mod:`repro.serve.dispatch`).  ``sim._steps_arg``
+    One payload is shipped per pool (via the initializer), not per shard,
+    so a *persistent* :class:`WorkerPool` (the serving layer's) reuses it
+    across micro-batch flushes.  ``sim._steps_arg``
     travels with the recipe, so a steps override must be baked into ``sim``
     before building the payload; ``calibrate`` controls the workers' plan
     compilation when ``compiled`` is set.  The active fault plan (if one
@@ -165,12 +167,11 @@ def _run_shard(shard) -> SimulationResult:
     # injected kernel exception is a workload error and propagates verbatim.
     faults.check(faults.WORKER_CRASH)
     faults.check(faults.KERNEL_EXCEPTION)
-    # Shards are (scheme, x, y) or (scheme, x, y, budget_ms): the serving
-    # dispatcher's flushes carry their budget (or None) in the fourth slot
-    # (docs/DESIGN.md §14) — the wall-clock countdown starts in the worker,
-    # bounding the execution itself rather than the queue time.
-    scheme, xb, yb, *rest = shard
-    budget = Budget(ms=float(rest[0])) if rest and rest[0] is not None else None
+    # Shards are (scheme, x, y, budget_ms): a budgeted shard's wall-clock
+    # countdown starts in the worker (docs/DESIGN.md §14), bounding the
+    # execution itself rather than the queue time.
+    scheme, xb, yb, budget_ms = shard
+    budget = None if budget_ms is None else Budget(ms=float(budget_ms))
     compiled, plan_batch, calibrate = _WORKER_COMPILED
     # Stochastic schemes ship one instance per shard (independent random
     # streams); rebind against the worker's cached network.
@@ -191,12 +192,11 @@ def _run_shard(shard) -> SimulationResult:
 class WorkerPool(SupervisedPool):
     """A supervised pool of worker processes, each replicating one simulator.
 
-    The pool :func:`run_parallel` and the serving dispatcher
-    (:mod:`repro.serve.dispatch`) share: ``sim`` and the plan options ship
-    once per worker through the pool initializer (:func:`worker_payload`),
-    and map shards with ``map(_run_shard, shards)``.  ``prefer`` lists
-    start methods in order of preference; an explicit ``start_method``
-    overrides it.  ``retry`` and ``on_rebuild`` configure the supervisor.
+    ``sim`` and the plan options ship once per worker through the pool
+    initializer (:func:`worker_payload`); :meth:`run` maps shards of
+    ``plan_batch`` samples over the workers.  ``prefer`` lists start methods in order of
+    preference; an explicit ``start_method`` overrides it.  ``retry`` and
+    ``on_rebuild`` configure the supervisor.
     """
 
     def __init__(
@@ -215,6 +215,9 @@ class WorkerPool(SupervisedPool):
             methods = multiprocessing.get_all_start_methods()
             start_method = next((m for m in prefer if m in methods), methods[0])
         self.workers = int(workers)
+        self.plan_batch = int(plan_batch)
+        self._scheme = sim.scheme
+        self._decision_time = sim.bound.decision_time
         self._context = multiprocessing.get_context(start_method)
         self._payload = worker_payload(sim, compiled, plan_batch, calibrate)
         super().__init__(self._make_pool, policy=retry, on_rebuild=on_rebuild)
@@ -225,6 +228,37 @@ class WorkerPool(SupervisedPool):
             mp_context=self._context,
             initializer=_init_worker,
             initargs=(self._payload,),
+        )
+
+    def run(
+        self,
+        x: np.ndarray,
+        y: np.ndarray | None = None,
+        budget_ms: float | None = None,
+    ) -> SimulationResult:
+        """Run ``x`` as contiguous ``plan_batch`` shards over the workers.
+
+        Supervised (DESIGN.md §13): a crash re-dispatches only unfinished
+        shards, workload exceptions re-raise verbatim, and
+        :class:`PoolUnavailable` escapes once the retry budget is spent.
+        ``budget_ms`` bounds each shard's window (shards run concurrently)
+        and makes the result an :class:`~repro.snn.results.AnytimeResult`,
+        exhausted when any shard's window was truncated.
+        """
+        stochastic = getattr(self._scheme, "stochastic", False)
+        shards, sizes = [], []
+        for index, start in enumerate(range(0, len(x), self.plan_batch)):
+            xb = x[start : start + self.plan_batch]
+            yb = y[start : start + self.plan_batch] if y is not None else None
+            scheme = self._scheme.shard_instance(index) if stochastic else None
+            shards.append((scheme, xb, yb, budget_ms))
+            sizes.append(len(xb))
+        results = self.map(_run_shard, shards)
+        merged = merge_results(results, sizes, y, self._decision_time)
+        if budget_ms is None:
+            return merged
+        return AnytimeResult.from_result(
+            merged, any(r.budget_exhausted for r in results)
         )
 
 
@@ -304,6 +338,9 @@ def run_parallel(
         Whether compiled plans run the calibration pass — in the workers
         and on the serial path alike.
     """
+    from repro.snn.engine import _check_inputs
+
+    _check_inputs(x, y)
     shards_needed = num_shards(len(x), batch_size)
     workers = resolve_workers(workers, shards_needed)
     if workers > 1 and sim.monitors:
@@ -319,33 +356,17 @@ def run_parallel(
 
     if workers == 1 or len(x) <= batch_size:
         return serial()
-
-    stochastic = getattr(sim.scheme, "stochastic", False)
-    shards = []
-    sizes = []
-    for index, start in enumerate(range(0, len(x), batch_size)):
-        xb = x[start : start + batch_size]
-        yb = y[start : start + batch_size] if y is not None else None
-        shard_scheme = sim.scheme.shard_instance(index) if stochastic else None
-        shards.append((shard_scheme, xb, yb))
-        sizes.append(len(xb))
-
-    # Supervised execution (DESIGN.md §13): a worker crash or spawn failure
-    # rebuilds the pool with bounded backoff and re-dispatches only the
-    # unfinished shards; completed shard results are kept.  Workload
-    # exceptions (bad shapes, labels) re-raise verbatim and are NOT
-    # retried.  Only an exhausted retry budget reaches the serial fallback.
+    # Only an exhausted retry budget reaches the serial fallback.
     with WorkerPool(
         sim,
-        min(workers, len(shards)),
+        min(workers, shards_needed),
         compiled=compiled,
         plan_batch=batch_size,
         calibrate=calibrate,
         start_method=start_method,
     ) as pool:
         try:
-            results = pool.map(_run_shard, shards)
+            return pool.run(x, y)
         except PoolUnavailable as exc:
             note_serial_fallback("repro.snn.parallel.run_parallel", exc)
-            return serial()
-    return merge_results(results, sizes, y, sim.bound.decision_time)
+    return serial()

@@ -75,8 +75,9 @@ class AnytimeResult(SimulationResult):
     mid-window still answers: ``predictions`` is the argmax of the
     evidence gathered so far and ``margins`` says how decided each
     sample is.  Returned by every budgeted execution path
-    (``Simulator.run(..., budget=...)``, the ``"anytime"`` runtime
-    backend, compiled plans) — including when the budget never binds, so
+    (``Simulator.run(..., budget=...)``, compiled plans, a budgeted
+    ``RunConfig`` on the ``serial``/``compiled`` backends, the worker
+    pool) — including when the budget never binds, so
     callers can branch on the type without racing the clock.
 
     Attributes

@@ -18,7 +18,6 @@ from repro.runtime import (
 class TestRegistry:
     def test_builtins_registered(self):
         assert available_backends() == [
-            "anytime",
             "compiled",
             "parallel",
             "serial",

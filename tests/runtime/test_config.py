@@ -158,11 +158,14 @@ class TestBudget:
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: bad})
 
-    def test_selects_anytime_backend(self):
+    def test_budget_keeps_batch_selection(self):
+        """A budget is an option of a run, not a backend of its own."""
         from repro.runtime import select_backend
 
-        assert select_backend(RunConfig(budget_ms=50.0), 100) == "anytime"
-        assert select_backend(RunConfig(min_confidence=0.3), 100) == "anytime"
+        assert select_backend(RunConfig(budget_ms=50.0), 100) == "serial"
+        assert select_backend(RunConfig(min_confidence=0.3), 100) == "serial"
+        config = RunConfig(compiled=True, budget_ms=50.0)
+        assert select_backend(config, 100) == "compiled"
 
     def test_budget_with_deadline_is_not_anytime(self):
         """deadline_ms + budget_ms is the *served* combination: selection
@@ -178,17 +181,19 @@ class TestBudget:
             RunConfig(budget_ms=50.0, workers=4)
 
     @pytest.mark.parametrize("backend", ["serial", "compiled"])
-    def test_batch_backends_reject_budget(self, backend):
-        with pytest.raises(ValueError, match=backend):
-            RunConfig(backend=backend, compiled=backend == "compiled", budget_ms=10)
+    def test_batch_backends_accept_budget(self, backend):
+        config = RunConfig(
+            backend=backend, compiled=backend == "compiled", budget_ms=10
+        )
+        assert config.budget_ms == 10.0
 
-    def test_anytime_backend_requires_a_budget(self):
-        with pytest.raises(ValueError, match="anytime"):
-            RunConfig(backend="anytime")
+    def test_anytime_is_not_a_backend(self):
+        with pytest.raises(ValueError, match="unknown backend 'anytime'"):
+            RunConfig(backend="anytime", budget_ms=10)
 
-    def test_anytime_backend_rejects_deadline(self):
+    def test_budgeted_batch_backend_rejects_deadline(self):
         with pytest.raises(ValueError, match="deadline_ms"):
-            RunConfig(backend="anytime", budget_ms=10, deadline_ms=10)
+            RunConfig(backend="serial", budget_ms=10, deadline_ms=10)
 
     def test_service_backend_rejects_min_confidence(self):
         with pytest.raises(ValueError, match="min_confidence"):

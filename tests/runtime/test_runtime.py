@@ -132,6 +132,27 @@ class TestServeConfigRejections:
             model.serve(config=RunConfig(monitors=(object(),)))
 
 
+class TestInputValidation:
+    """The service backend checks inputs against labels before it opens a
+    service (the Simulator entry points are covered in test_engine)."""
+
+    CONFIG = RunConfig(backend="service", batch_size=4)
+
+    @pytest.mark.parametrize("num_labels", [13, 5])
+    def test_label_count_mismatch(self, tiny_network, tiny_data, num_labels):
+        model = T2FSNN(tiny_network, window=12)
+        x, y = tiny_data[2][:12], np.resize(tiny_data[3], num_labels)
+        with pytest.raises(
+            ValueError, match=f"labels length {num_labels} != number of samples 12"
+        ):
+            model.run(x, y, config=self.CONFIG)
+
+    def test_empty_input(self, tiny_network):
+        model = T2FSNN(tiny_network, window=12)
+        with pytest.raises(ValueError, match="no samples"):
+            model.run(np.zeros((0, 1, 8, 8)), config=self.CONFIG)
+
+
 class TestServiceSourcing:
     def test_service_shares_runtime_coding_key(self, tiny_network, tiny_data):
         """Model-backed services source simulators and keys from the same
@@ -178,6 +199,50 @@ class TestAnytimeBackend:
         result = model.run(x, config=config)
         assert isinstance(result, AnytimeResult)
         assert not result.budget_exhausted
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            RunConfig(),
+            RunConfig(batch_size=4),
+            RunConfig(compiled=True, batch_size=4),
+        ],
+        ids=["serial", "serial-batched", "compiled"],
+    )
+    def test_non_binding_budget_is_bit_identical(
+        self, tiny_network, tiny_data, config
+    ):
+        """A budget is an option of the serial and compiled backends: one
+        that never binds changes nothing but the result's type."""
+        from dataclasses import replace
+
+        from repro.snn import AnytimeResult
+
+        model = T2FSNN(tiny_network, window=12)
+        x, y = tiny_data[2][:10], tiny_data[3][:10]
+        ref = model.run(x, y, config=config)
+        result = model.run(x, y, config=replace(config, budget_ms=60_000.0))
+        assert isinstance(result, AnytimeResult)
+        assert not isinstance(ref, AnytimeResult)
+        assert not result.budget_exhausted
+        np.testing.assert_array_equal(result.scores, ref.scores)
+        np.testing.assert_array_equal(result.predictions, ref.predictions)
+        assert result.spike_counts == ref.spike_counts
+        assert result.steps == ref.steps
+
+    def test_auto_selected_batch_backend_rejects_deadline(
+        self, tiny_network, tiny_data
+    ):
+        """Runtime.run re-validates the config under the backend it
+        resolved, so RunConfig's deadline rule covers auto-selection."""
+        model = T2FSNN(tiny_network, window=12)
+        for config in (
+            RunConfig(deadline_ms=10.0),
+            RunConfig(deadline_ms=10.0, budget_ms=10.0),
+            RunConfig(deadline_ms=10.0, compiled=True),
+        ):
+            with pytest.raises(ValueError, match="deadline_ms"):
+                model.run(tiny_data[2][:4], config=config)
 
     def test_min_confidence_config(self, tiny_network, tiny_data):
         from repro.snn import AnytimeResult

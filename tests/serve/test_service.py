@@ -199,21 +199,39 @@ class TestWorkerDispatch:
     def test_sharded_dispatch_parity(self, tiny_network, tiny_data):
         """workers=2 shards flushes over a persistent pool (per-worker
         compiled plans); falls back to serial if the host cannot pool —
-        parity must hold either way."""
+        parity must hold either way.  A non-binding budget_ms runs each
+        shard as an anytime window in its worker and must change nothing:
+        same scores as the serial service, and no partial flag."""
         x = tiny_data[2][:8]
         ref = Simulator(tiny_network, TTFSCoding(window=12)).run(x)
-        service = InferenceService(
-            Simulator(tiny_network, TTFSCoding(window=12)),
-            capacities=(8,),
-            max_wait_ms=10.0,
-            cache_size=0,
-            workers=2,
-        )
-        with service:
-            results = service.predict_many(x, timeout=120.0)
-        np.testing.assert_array_equal(
-            np.array([r.prediction for r in results]), ref.predictions
-        )
+
+        def service(workers):
+            return InferenceService(
+                Simulator(tiny_network, TTFSCoding(window=12)),
+                capacities=(8,),
+                max_wait_ms=10.0,
+                cache_size=0,
+                workers=workers,
+            )
+
+        def scores(results):
+            return np.stack([r.scores for r in results])
+
+        with service(1) as serial:
+            serial_scores = scores(serial.predict_many(x, timeout=120.0))
+        with service(2) as sharded:
+            for budget_ms in (None, 5000.0):
+                futures = [sharded.submit(s, budget_ms=budget_ms) for s in x]
+                results = [f.result(120.0) for f in futures]
+                np.testing.assert_array_equal(
+                    np.array([r.prediction for r in results]), ref.predictions
+                )
+                # Shard widths differ from the serial service's flush width,
+                # so scores agree to BLAS-shape reassociation error.
+                np.testing.assert_allclose(
+                    scores(results), serial_scores, rtol=1e-9, atol=1e-12
+                )
+                assert not any(r.partial for r in results)
 
     def test_auto_workers_single_core_stays_serial(
         self, tiny_network, monkeypatch

@@ -54,6 +54,45 @@ class TestEngineValidation:
         result = Simulator(tiny_network, RateCoding(), steps=10).run(tiny_data[2][:4])
         assert result.accuracy is None
 
+    @staticmethod
+    def _no_pool(monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a pool was spawned for invalid inputs")
+
+        monkeypatch.setattr("repro.snn.parallel.ProcessPoolExecutor", boom)
+
+    ENTRY_POINTS = {
+        "run": lambda sim, x, y: sim.run(x, y),
+        "batched": lambda sim, x, y: sim.run_batched(x, y, batch_size=4),
+        "compiled": lambda sim, x, y: sim.run_compiled(x, y, batch_size=4),
+        "parallel": lambda sim, x, y: sim.run_parallel(
+            x, y, workers=2, batch_size=4
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("num_labels", [13, 5])
+    def test_label_count_checked_for_the_whole_call(
+        self, tiny_network, tiny_data, monkeypatch, entry, num_labels
+    ):
+        """Checked once, before any window runs or any pool spawns, with
+        both lengths of the call in the message."""
+        self._no_pool(monkeypatch)
+        x = tiny_data[2][:12]
+        y = np.resize(tiny_data[3], num_labels)
+        sim = Simulator(tiny_network, TTFSCoding(window=12))
+        with pytest.raises(
+            ValueError, match=f"labels length {num_labels} != number of samples 12"
+        ):
+            self.ENTRY_POINTS[entry](sim, x, y)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_empty_input_rejected(self, tiny_network, monkeypatch, entry):
+        self._no_pool(monkeypatch)
+        sim = Simulator(tiny_network, TTFSCoding(window=12))
+        with pytest.raises(ValueError, match="no samples"):
+            self.ENTRY_POINTS[entry](sim, np.zeros((0, 1, 8, 8)), None)
+
 
 class TestBatchedRun:
     def test_batched_matches_single(self, tiny_network, tiny_data):

@@ -69,7 +69,6 @@ MODULES = [
     "repro.serve.batcher",
     "repro.serve.cache",
     "repro.serve.http",
-    "repro.serve.dispatch",
     "repro.serve.service",
     "repro.analysis.experiments",
     "repro.analysis.tables",
