@@ -13,17 +13,26 @@ early firing the fire phase overlaps the tail of integration, so information
 arriving after a neuron fired is lost — the paper's "non-guaranteed
 integration" — while not-yet-fired neurons still benefit from late arrivals.
 
-Throughput runtime (docs/DESIGN.md §9): once the engine guarantees a stage
-will receive no further drive (``note_input_exhausted``), its potentials
-are final and — because the exponential threshold decays monotonically —
-every unfired neuron's spike time has a closed form.  The stage switches
-from per-step threshold comparisons to a precomputed *firing schedule*:
-survivors of the threshold floor are counting-sorted into per-step buckets
-and each remaining step just slices its bucket, making fire-phase cost
-O(spikes emitted) instead of O(population x steps).  Firing decisions are
-identical to the per-step comparison; both stages and the encoder also
-report per-sample quiescence (``row_quiescent``), which powers early exit
-and batch retirement.
+One fire-once population (:class:`_FireOnce`) is the firing core of every
+TTFS spike source.  The input encoder is that population over the pixels
+(pre-integrated potentials: fire offset 0, no drive); a spiking stage is it
+over its integrated membrane, opening at ``fire_start``.  Nothing fires
+below the population's firing floor — the threshold table's last entry,
+and never zero, so a zero potential stays silent even where the kernel
+underflows to 0.  Threshold tables must be non-increasing, as every
+exponential and LUT kernel is.
+
+Throughput runtime (docs/DESIGN.md §9): once a population's potentials
+are final (the encoder's at reset, a stage's once the engine reports its
+input exhausted with ``note_input_exhausted``), every unfired unit's spike
+time has a closed form.  The population switches from per-step threshold
+comparisons to a precomputed *firing schedule*: survivors of the floor are
+counting-sorted into per-step buckets and each remaining step just slices
+its bucket, making fire-phase cost O(spikes emitted) instead of
+O(population x steps).  The encoder never compares per step.  Firing
+decisions are identical either way; every population also reports
+per-sample quiescence (``row_quiescent``), which powers early exit and
+batch retirement.
 
 Every spike time comes from one closed-form routine (:class:`_SpikeTimes`,
 bit-identical to ``np.searchsorted`` over the kernel table).  The compiled
@@ -68,14 +77,6 @@ __all__ = [
 #: for any real input dtype (a numpy scalar, so float32 inputs compare in
 #: float64 rather than rounding it to zero).
 _SMALLEST_POSITIVE = np.nextafter(np.float64(0.0), np.float64(1.0))
-
-
-def _suffix_min(weights: np.ndarray) -> np.ndarray:
-    """``out[i] = min(weights[i:])`` — the threshold floor of the remaining
-    fire window.  A potential below ``out[i]`` can never fire from step ``i``
-    on (the kernel is evaluated exactly, so no monotonicity assumption is
-    needed)."""
-    return np.minimum.accumulate(weights[::-1])[::-1]
 
 
 class _SpikeTimes:
@@ -309,7 +310,8 @@ class _FiringSchedule:
     Once a population's potentials are final (an encoder's pixels at reset,
     a stage once the engine exhausts its input), the first offset ``dt``
     with ``value >= weights[dt]`` is each unit's spike time.  Units are
-    counting-sorted by that offset — stable and on narrow uint16 keys, so
+    counting-sorted by that offset — stable and on the narrowest unsigned
+    keys that hold every offset (16 bits or fewer below 65,536 steps), so
     numpy radix-sorts, and the row-major order survives within each bucket
     (the nondecreasing row order SpikePacket kernels rely on).  Each step
     then just slices its bucket: O(spikes emitted) per step instead of
@@ -330,7 +332,8 @@ class _FiringSchedule:
     ):
         rows, idx = np.divmod(np.flatnonzero(alive), alive.shape[1])
         weights = times.weights
-        fire_dt = times.offsets(flat[rows, idx], dt_from).astype(np.uint16, copy=False)
+        key = np.min_scalar_type(len(weights))
+        fire_dt = times.offsets(flat[rows, idx], dt_from).astype(key, copy=False)
         order = np.argsort(fire_dt, kind="stable")
         fire_dt = fire_dt[order]
         self.rows = rows[order]
@@ -373,47 +376,189 @@ class _FiringSchedule:
         self.row_last = self.row_last[keep]
 
 
+class _FireOnce:
+    """One fire-once TTFS population: the firing core of every spike source.
+
+    A unit's potential is compared with the decaying kernel threshold of its
+    fire window, which opens at step ``start``; the unit fires once, at the
+    first step whose threshold it meets, with the kernel value there as its
+    spike weight.  The input encoder is this population over the pixels
+    (``start`` 0, no drive); a spiking stage is it over the integrated
+    membrane (``start`` = its ``fire_start``).  Steps are absolute; step
+    ``t`` is offset ``t - start`` into the table.
+
+    Nothing fires below the firing ``floor``: the table's last entry, and
+    never zero — a zero potential stays silent even where the kernel
+    underflows to 0.  Once the potentials are final, :meth:`schedule` turns
+    them into a :class:`_FiringSchedule` and every later step is a bucket
+    slice; :meth:`drain` instead emits the whole rest at once.
+    """
+
+    __slots__ = (
+        "weights", "floor", "times", "start", "fired", "sched", "drained", "shape", "_base"
+    )
+
+    def __init__(self, kernel: ExpKernel, window: int, start: int, theta0: float, dtype):
+        if theta0 <= 0:
+            raise ValueError(f"theta0 must be positive, got {theta0}")
+        weights = tabulate_kernel(kernel, window, theta0, dtype)
+        if not np.all(weights[1:] <= weights[:-1]):
+            raise ValueError("a TTFS threshold table must be non-increasing")
+        self.weights = weights
+        # The smallest potential that fires: the suffix minimum of a
+        # non-increasing table is its last entry, over the whole window.
+        self.floor = max(weights[-1], _SMALLEST_POSITIVE)
+        self.times = _SpikeTimes(weights)
+        self.start = start
+        self.fired: np.ndarray | None = None
+        self.sched: _FiringSchedule | None = None
+        self.drained = False
+        self.shape: tuple[int, ...] = ()
+        self._base: np.ndarray | None = None
+
+    def reset(self, shape: tuple[int, ...]) -> None:
+        """All units of a ``(batch, *population)`` population unfired."""
+        self._base, self.fired = arena_zeros(self._base, shape, bool)
+        self.shape = tuple(shape[1:])
+        self.sched = None
+        self.drained = False
+
+    @property
+    def pending(self) -> bool:
+        """Whether the fire window is neither scheduled nor drained yet."""
+        return self.sched is None and not self.drained
+
+    def _flat(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n = values.shape[0]
+        return values.reshape(n, -1), self.fired.reshape(n, -1)
+
+    def schedule(self, values: np.ndarray, t_from: int) -> None:
+        """Turn final potentials into the firing schedule of steps ``t_from``
+        on: unfired units below the floor never fire and are dropped, the
+        rest get closed-form spike offsets."""
+        flat, fired = self._flat(values)
+        dt_from = max(t_from - self.start, 0)
+        if dt_from >= len(self.weights):
+            alive = np.zeros_like(fired)
+            dt_from = 0  # no offsets left; the empty schedule is inert
+        else:
+            alive = (~fired) & (flat >= self.floor)
+        self.sched = _FiringSchedule(flat, alive, self.times, dt_from)
+
+    def emit(self, t: int) -> SpikePacket | None:
+        """The scheduled spikes of step ``t``, latched fired: a bucket slice —
+        three views, no comparison and no per-step allocation."""
+        dt = t - self.start
+        if self.sched is None or not 0 <= dt < len(self.weights):
+            return None
+        bucket = self.sched.bucket(dt)
+        if bucket is None:
+            return None
+        rows, idx, weights = bucket
+        self.fired.reshape(self.fired.shape[0], -1)[rows, idx] = True
+        return SpikePacket(
+            rows=rows,
+            idx=idx,
+            weights=weights,
+            batch=self.fired.shape[0],
+            shape=self.shape,
+            unique=True,
+        )
+
+    def fire(self, values: np.ndarray, t: int) -> SpikePacket | None:
+        """The spikes of step ``t``: from the schedule once there is one,
+        else the units at or above this step's threshold and the floor."""
+        if self.sched is not None or self.drained:
+            return self.emit(t)
+        dt = t - self.start
+        if not 0 <= dt < len(self.weights):
+            return None
+        weight = self.weights[dt]
+        can_fire = (~self.fired) & (values >= max(weight, self.floor))
+        if not can_fire.any():
+            return None
+        self.fired |= can_fire
+        return SpikePacket.from_mask(can_fire, float(weight), dtype=self.weights.dtype)
+
+    def drain(
+        self,
+        values: np.ndarray,
+        t_from: int,
+        out: np.ndarray | None,
+        threshold: float,
+        workspace,
+    ) -> tuple[SpikePacket | np.ndarray | None, int]:
+        """Emit every spike of steps ``t_from`` on at once (:func:`_drain`);
+        the population is spent afterwards."""
+        self.drained = True
+        self.sched = None
+        dt_from = max(t_from - self.start, 0)
+        if dt_from >= len(self.weights):
+            return None, 0
+        flat, fired = self._flat(values)
+        return _drain(
+            self.times, flat, fired, self.floor, dt_from, self.shape, out, threshold, workspace
+        )
+
+    def can_drain(self, cut: bool) -> bool:
+        """Every table drains; with ``cut``, only one a truncation can cut."""
+        return not cut or self.times.cuttable
+
+    def cut(
+        self, spikes: SpikePacket | np.ndarray | None, steps: int
+    ) -> tuple[SpikePacket | np.ndarray | None, int]:
+        """Take back the drained ``spikes`` that a run stopped after ``steps``
+        executed steps never emitted; returns ``(kept, removed)`` (:func:`_cut`)."""
+        return _cut(spikes, self.times, steps - self.start)
+
+    def quiescent(self, values: np.ndarray | None, t: int) -> np.ndarray | None:
+        """Per row, whether nothing fires after step ``t``: the window is
+        over, the row's last bucket passed, or every unit fired or sits below
+        the floor (``values`` must be final)."""
+        if self.fired is None:
+            return None
+        n = self.fired.shape[0]
+        next_dt = t + 1 - self.start
+        if next_dt >= len(self.weights):
+            return np.ones(n, dtype=bool)
+        if self.sched is not None:
+            return self.sched.rows_done(max(next_dt, 0))
+        flat, fired = self._flat(values)
+        return ~((~fired) & (flat >= self.floor)).any(axis=1)
+
+    def compact(self, keep: np.ndarray) -> None:
+        if self.fired is None:
+            return
+        self.fired = arena_compact(self._base, self.fired, keep)
+        if self.sched is not None:
+            self.sched.compact(keep)
+
+
 class TTFSInputEncoder(InputEncoder):
     """Encode pixels as first-spike times during ``[0, T)``.
 
-    The image plays the role of pre-integrated membrane potential: pixel
-    intensity ``x`` fires at the first step where ``x >= theta0 * eps(t)``,
-    and the emitted spike is weighted by the kernel (the decoded intensity).
-
-    With ``emit_events=True`` (and a monotone kernel) the encoder receives
-    no drive, so every pixel's spike time is known at :meth:`reset`: spikes
-    are counting-sorted into per-step buckets once and each step just
-    slices its bucket — identical emissions to the per-step threshold
-    comparison at O(spikes) cost.
+    The image plays the role of pre-integrated membrane potential: the
+    encoder is the fire-once population (:class:`_FireOnce`) over the
+    pixels, with fire offset 0 and no drive.  Pixel ``x`` fires at the first
+    step where ``x >= theta0 * eps(t)`` (zero pixels never fire), and the
+    emitted spike is weighted by the kernel (the decoded intensity).  The
+    pixels are final at :meth:`reset`, so the first :meth:`step`
+    counting-sorts every spike time into per-step buckets and each step
+    just slices its bucket.
     """
 
     counts_spikes = True
     constant = False
 
-    def __init__(
-        self,
-        kernel: ExpKernel,
-        window: int,
-        theta0: float = 1.0,
-        emit_events: bool = False,
-        dtype=np.float64,
-    ):
+    def __init__(self, kernel: ExpKernel, window: int, theta0: float = 1.0, dtype=np.float64):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.kernel = kernel
         self.window = window
         self.theta0 = theta0
-        self.emit_events = emit_events
         self.dtype = np.dtype(dtype)
-        self._weights = tabulate_kernel(kernel, window, theta0, dtype)
-        self._floor = _suffix_min(self._weights)
-        self._monotone = bool(np.all(np.diff(self._weights) <= 0))
-        self._times = _SpikeTimes(self._weights)
+        self._core = _FireOnce(kernel, window, 0, theta0, dtype)
         self._x: np.ndarray | None = None
-        self._fired: np.ndarray | None = None
-        self._fired_base: np.ndarray | None = None
-        self._drained = False
-        self._sched: _FiringSchedule | None = None
 
     def emission_window(self) -> int:
         return self.window
@@ -422,76 +567,27 @@ class TTFSInputEncoder(InputEncoder):
         if x.min() < 0.0:
             raise ValueError("TTFS input encoding requires non-negative inputs")
         self._x = x
-        self._fired_base, self._fired = arena_zeros(self._fired_base, x.shape, bool)
-        self._sched = None
-        self._drained = False
+        self._core.reset(x.shape)
 
-    def _build_schedule(self) -> None:
-        """Counting-sort every pixel's closed-form spike time into buckets.
-
-        Built lazily at the first :meth:`step` (the encoder receives no
-        drive, so its potentials — the pixels — are final at reset); a
-        bulk-drained run never pays for it.
-        """
-        flat = self._x.reshape(self._x.shape[0], -1)
-        alive = flat >= self._pixel_floor()
-        self._sched = _FiringSchedule(flat, alive, self._times, 0)
-
-    def _pixel_floor(self):
-        """Smallest pixel that fires: at or above the last threshold and
-        above zero (zero pixels never fire, whatever the table holds)."""
-        return max(self._weights[-1], _SMALLEST_POSITIVE)
-
-    def step(self, t: int) -> np.ndarray | SpikePacket | None:
-        if self._x is None or self._fired is None:
+    def step(self, t: int) -> SpikePacket | None:
+        if self._x is None:
             raise RuntimeError("reset() must be called before step()")
-        if not (0 <= t < self.window):
-            return None
-        if (
-            self._sched is None
-            and not self._drained
-            and self.emit_events
-            and self._monotone
-        ):
-            self._build_schedule()
-        weight = self._weights[t]
-        if self._sched is not None:
-            bucket = self._sched.bucket(t)
-            if bucket is None:
-                return None
-            rows, idx, weights = bucket
-            flat_fired = self._fired.reshape(self._fired.shape[0], -1)
-            flat_fired[rows, idx] = True
-            return SpikePacket(
-                rows=rows,
-                idx=idx,
-                weights=weights,
-                batch=self._x.shape[0],
-                shape=self._x.shape[1:],
-                unique=True,
-            )
-        threshold = weight  # theta(t) and the decoded weight coincide
-        can_fire = (~self._fired) & (self._x >= threshold) & (self._x > 0.0)
-        if not can_fire.any():
-            return None
-        self._fired |= can_fire
-        if self.emit_events:
-            return SpikePacket.from_mask(can_fire, float(weight), dtype=self.dtype)
-        return can_fire.astype(self.dtype) * weight
+        if self._core.pending:
+            # Built at the first step, so a bulk-drained run never pays for it.
+            self._core.schedule(self._x, 0)
+        return self._core.emit(t)
 
     def can_drain(self, cut: bool = False) -> bool:
-        """Whether the whole remaining emission schedule can leave as one
-        packet (monotone kernel: every pixel's spike time has a closed form);
-        with ``cut``, also whether a truncated run can take the drain back
-        (:meth:`cut_drain`)."""
-        return self._monotone and (not cut or self._times.cuttable)
+        """Whether a truncated run can take a drain back (with ``cut``,
+        :meth:`cut_drain`); every encoder drains."""
+        return self._core.can_drain(cut)
 
     def cut_drain(
         self, spikes: SpikePacket | np.ndarray | None, steps: int
     ) -> tuple[SpikePacket | np.ndarray | None, int]:
         """Take back the drained ``spikes`` that a run stopped after ``steps``
-        executed steps never emitted; returns ``(kept, removed)`` (:func:`_cut`)."""
-        return _cut(spikes, self._times, steps)
+        executed steps never emitted; returns ``(kept, removed)``."""
+        return self._core.cut(spikes, steps)
 
     def drain_events(
         self,
@@ -513,46 +609,20 @@ class TTFSInputEncoder(InputEncoder):
         the dense weighted tensor is written into ``out``; ``workspace``
         supplies shared scratch (:func:`_drain`).
         """
-        if self._x is None or self._fired is None:
+        if self._x is None:
             raise RuntimeError("reset() must be called before drain_events()")
-        if not self._monotone:
-            raise RuntimeError("drain_events() requires a monotone kernel")
-        self._drained = True
-        self._sched = None  # all buckets drained; step() now sees all-fired
-        n = self._x.shape[0]
-        return _drain(
-            self._times,
-            self._x.reshape(n, -1),
-            self._fired.reshape(n, -1),
-            self._pixel_floor(),
-            0,
-            self._x.shape[1:],
-            out,
-            threshold,
-            workspace,
-        )
+        return self._core.drain(self._x, 0, out, threshold, workspace)
 
     def row_quiescent(self, t: int) -> np.ndarray | None:
         """A sample is exhausted when every pixel either fired or sits below
-        the threshold floor of the remaining window (zero pixels never fire)."""
-        if self._x is None or self._fired is None:
-            return None
-        n = self._x.shape[0]
-        if t + 1 >= self.window:
-            return np.ones(n, dtype=bool)
-        if self._sched is not None:
-            return self._sched.rows_done(t + 1)
-        floor = self._floor[t + 1]
-        alive = (~self._fired) & (self._x >= floor) & (self._x > 0.0)
-        return ~alive.reshape(n, -1).any(axis=1)
+        the firing floor."""
+        return self._core.quiescent(self._x, t)
 
     def compact(self, keep: np.ndarray) -> None:
-        if self._x is None or self._fired is None:
+        if self._x is None:
             return
         self._x = self._x[keep]
-        self._fired = arena_compact(self._fired_base, self._fired, keep)
-        if self._sched is not None:
-            self._sched.compact(keep)
+        self._core.compact(keep)
 
 
 class TTFSNeurons(NeuronDynamics):
@@ -563,15 +633,14 @@ class TTFSNeurons(NeuronDynamics):
     the stage bias is injected once, at ``window.integration_start``.
 
     Fire phase (``[fire_start, fire_end)``): at offset ``dt`` the threshold
-    is ``theta0 * kernel(dt)``; neurons at or above it emit one spike of
-    weight ``kernel(dt) * theta0`` and are latched fired.
-
-    With ``emit_events=True`` spikes leave as native
-    :class:`~repro.snn.events.SpikePacket` event lists, and once the engine
-    reports the stage's input exhausted the fire phase switches to the
-    precomputed firing schedule (see module docstring); otherwise the
-    classic full-tensor comparison runs and a dense weighted tensor is
-    returned.  All paths make identical firing decisions.
+    is ``theta0 * kernel(dt)``; neurons at or above it (and above zero)
+    emit one spike of weight ``kernel(dt) * theta0`` and are latched fired.
+    The membrane is the fire-once population (:class:`_FireOnce`) opening
+    at ``fire_start``.  Spikes leave as
+    :class:`~repro.snn.events.SpikePacket` event lists; once the engine
+    reports the stage's input exhausted and the bias has landed, the fire
+    phase switches from per-step comparisons to the precomputed firing
+    schedule (see module docstring), with identical firing decisions.
     """
 
     def __init__(
@@ -581,133 +650,50 @@ class TTFSNeurons(NeuronDynamics):
         window: StageWindow,
         kernel: ExpKernel,
         theta0: float = 1.0,
-        emit_events: bool = False,
         dtype=np.float64,
     ):
         super().__init__(shape, bias, dtype)
-        if theta0 <= 0:
-            raise ValueError(f"theta0 must be positive, got {theta0}")
         self.window = window
         self.kernel = kernel
         self.theta0 = theta0
-        self.emit_events = emit_events
-        self._weights = tabulate_kernel(kernel, window.fire_window, theta0, dtype)
-        self._floor = _suffix_min(self._weights)
-        # The exponential threshold decays monotonically, which is what lets
-        # final potentials be turned into a closed-form firing schedule once
-        # no further drive can arrive (checked, not assumed, so exotic
-        # kernels simply keep the per-step comparison).
-        self._monotone = bool(np.all(np.diff(self._weights) <= 0))
-        self._times = _SpikeTimes(self._weights)
-        self._fired: np.ndarray | None = None
-        self._fired_base: np.ndarray | None = None
-        self._no_more_input = False
-        self._drained = False
-        self._sched: _FiringSchedule | None = None
+        self._core = _FireOnce(kernel, window.fire_window, window.fire_start, theta0, dtype)
+        # Input exhausted but the potentials not yet scheduled (the one-shot
+        # bias had not landed when the engine reported it).
+        self._schedule_due = False
 
     def phase_window(self) -> StageWindow:
         return self.window
 
     def reset(self, batch_size: int) -> None:
         super().reset(batch_size)
-        self._fired_base, self._fired = arena_zeros(
-            self._fired_base, (batch_size,) + self.shape, bool
-        )
-        self._no_more_input = False
-        self._drained = False
-        self._sched = None
-
-    # ------------------------------------------------------------------ #
-    # firing schedule
-    # ------------------------------------------------------------------ #
-
-    def _schedule_from_state(self, dt_from: int) -> None:
-        """Turn final potentials into a per-step firing schedule.
-
-        Valid once no further drive can arrive: unfired neurons below the
-        remaining threshold floor never fire and are dropped outright; the
-        rest get closed-form spike offsets (:class:`_FiringSchedule`).
-        """
-        if not self._monotone:
-            return
-        u = self._require_state()
-        n = u.shape[0]
-        flat = u.reshape(n, -1)
-        fired_flat = self._fired.reshape(n, -1)
-        dt_from = max(dt_from, 0)
-        if dt_from >= self.window.fire_window:
-            alive = np.zeros_like(fired_flat)
-            dt_from = 0  # no offsets left; the empty schedule is inert
-        else:
-            alive = (~fired_flat) & (flat >= self._floor[dt_from])
-        self._sched = _FiringSchedule(flat, alive, self._times, dt_from)
+        self._core.reset((batch_size,) + self.shape)
+        self._schedule_due = False
 
     def _bias_settled(self, t: int) -> bool:
         """Whether the one-shot stage bias has been injected by step ``t``."""
         return not self._has_bias or t >= self.window.integration_start
 
+    def _schedule_if_final(self, t: int, t_from: int) -> None:
+        """Schedule the fire window from step ``t_from`` on once the
+        potentials are final: input exhausted and the bias landed by ``t``."""
+        if self._bias_settled(t):
+            self._schedule_due = False
+            self._core.schedule(self.u, t_from)
+
     def note_input_exhausted(self, t: int) -> None:
-        self._no_more_input = True
-        if (
-            self.emit_events
-            and self._sched is None
-            and not self._drained
-            and self._fired is not None
-            and self._bias_settled(t)
-        ):
-            self._schedule_from_state(t + 1 - self.window.fire_start)
+        if self.u is not None and self._core.pending:
+            self._schedule_due = True
+            self._schedule_if_final(t, t + 1)
 
-    # ------------------------------------------------------------------ #
-    # dynamics
-    # ------------------------------------------------------------------ #
-
-    def step(self, drive: np.ndarray | None, t: int) -> np.ndarray | SpikePacket | None:
+    def step(self, drive: np.ndarray | None, t: int) -> SpikePacket | None:
         u = self._require_state()
-        if self._fired is None:
-            raise RuntimeError("reset() must be called before step()")
         if drive is not None:
             u += drive
         if t == self.window.integration_start and self._has_bias:
             u += self.bias
-        if (
-            self.emit_events
-            and self._no_more_input
-            and self._sched is None
-            and not self._drained
-            and self._bias_settled(t)
-        ):
-            # The engine exhausted our input before the bias landed; the
-            # potential is final from this step on — schedule now.
-            self._schedule_from_state(max(t - self.window.fire_start, 0))
-        if not self.window.in_fire_phase(t):
-            return None
-        dt = t - self.window.fire_start
-        weight = self._weights[dt]
-        if self.emit_events and self._sched is not None:
-            # Scheduled mode: this step's spikes are a precomputed bucket
-            # slice — three views, no comparison over undecided neurons and
-            # no per-step allocation.
-            bucket = self._sched.bucket(dt)
-            if bucket is None:
-                return None
-            rows, idx, weights = bucket
-            flat_fired = self._fired.reshape(self._fired.shape[0], -1)
-            flat_fired[rows, idx] = True
-            return SpikePacket(
-                rows=rows,
-                idx=idx,
-                weights=weights,
-                batch=u.shape[0],
-                shape=self.shape,
-                unique=True,
-            )
-        can_fire = (~self._fired) & (u >= weight)
-        if not can_fire.any():
-            return None
-        self._fired |= can_fire
-        if self.emit_events:
-            return SpikePacket.from_mask(can_fire, float(weight), dtype=self.dtype)
-        return can_fire.astype(self.dtype) * weight
+        if self._schedule_due:
+            self._schedule_if_final(t, t)
+        return self._core.fire(u, t)
 
     def needs_drive(self, t: int) -> bool:
         """The membrane potential is only compared during the fire phase, so
@@ -715,18 +701,16 @@ class TTFSNeurons(NeuronDynamics):
         return self.window.in_fire_phase(t)
 
     def can_drain(self, cut: bool = False) -> bool:
-        """Whether the remaining fire phase can leave as one packet (monotone
-        kernel — spike times are in closed form once input is exhausted);
-        with ``cut``, also whether a truncated run can take the drain back
-        (:meth:`cut_drain`)."""
-        return self._monotone and (not cut or self._times.cuttable)
+        """Whether a truncated run can take a drain back (with ``cut``,
+        :meth:`cut_drain`); every stage drains once its input is exhausted."""
+        return self._core.can_drain(cut)
 
     def cut_drain(
         self, spikes: SpikePacket | np.ndarray | None, steps: int
     ) -> tuple[SpikePacket | np.ndarray | None, int]:
         """Take back the drained ``spikes`` that a run stopped after ``steps``
-        executed steps never fired; returns ``(kept, removed)`` (:func:`_cut`)."""
-        return _cut(spikes, self._times, steps - self.window.fire_start)
+        executed steps never fired; returns ``(kept, removed)``."""
+        return self._core.cut(spikes, steps)
 
     def drain_fire_events(
         self,
@@ -757,63 +741,31 @@ class TTFSNeurons(NeuronDynamics):
         ``drive`` itself: it is integrated first); ``workspace`` supplies
         shared scratch (:func:`_drain`).
         """
-        if self._fired is None:
+        u = self.u
+        if u is None:
             raise RuntimeError("reset() must be called before drain_fire_events()")
-        if not self._monotone:
-            raise RuntimeError("drain_fire_events() requires a monotone kernel")
         if not self._bias_settled(t):
             raise RuntimeError("drain_fire_events() needs a settled bias")
-        self._no_more_input = True
-        self._drained = True
-        u = self._require_state()
         if drive is not None:
             u += drive
-        self._sched = None  # the schedule is spent; step() now sees all-fired
-        n = u.shape[0]
-        dt_from = max(t + 1 - self.window.fire_start, 0)
-        if dt_from >= self.window.fire_window:
-            return None, 0
-        return _drain(
-            self._times,
-            u.reshape(n, -1),
-            self._fired.reshape(n, -1),
-            self._floor[dt_from],
-            dt_from,
-            self.shape,
-            out,
-            threshold,
-            workspace,
-        )
+        self._schedule_due = False
+        return self._core.drain(u, t + 1, out, threshold, workspace)
 
     def row_quiescent(self, t: int) -> np.ndarray | None:
-        if self._fired is None:
-            return None
-        n = self._fired.shape[0]
-        if t + 1 >= self.window.fire_end:
-            return np.ones(n, dtype=bool)
-        if t < self.window.integration_start and self._has_bias:
+        if self.u is not None and t < self.window.integration_start and self._has_bias:
             # The one-shot bias is still pending; potentials are not final.
-            return np.zeros(n, dtype=bool)
-        next_dt = max(t + 1 - self.window.fire_start, 0)
-        if self._sched is not None:
-            # Scheduled mode: a sample is done once its last bucket passed.
-            return self._sched.rows_done(next_dt)
-        u = self._require_state()
-        alive = (~self._fired) & (u >= self._floor[next_dt])
-        return ~alive.reshape(n, -1).any(axis=1)
+            return np.zeros(self.u.shape[0], dtype=bool)
+        return self._core.quiescent(self.u, t)
 
     def compact(self, keep: np.ndarray) -> None:
         super().compact(keep)
-        if self._fired is not None:
-            self._fired = arena_compact(self._fired_base, self._fired, keep)
-        if self._sched is not None:
-            self._sched.compact(keep)
+        self._core.compact(keep)
 
     def spike_fraction(self) -> float:
         """Fraction of neurons that have fired (sparsity diagnostic)."""
-        if self._fired is None:
+        if self._core.fired is None:
             return 0.0
-        return float(self._fired.mean())
+        return float(self._core.fired.mean())
 
 
 class TTFSCoding(CodingScheme):
@@ -906,11 +858,9 @@ class TTFSCoding(CodingScheme):
         ]
         dtype = network.dtype
 
-        # Bound encoders/dynamics emit SpikePackets natively: the engine gets
-        # spike counts for free and the dense fire tensor is never allocated.
-        encoder = TTFSInputEncoder(
-            kernels[0], self.window, self.theta0, emit_events=True, dtype=dtype
-        )
+        # Encoders/dynamics emit SpikePackets natively: the engine gets spike
+        # counts for free and the dense fire tensor is never allocated.
+        encoder = TTFSInputEncoder(kernels[0], self.window, self.theta0, dtype=dtype)
         spiking = [s for s in network.stages if s.spiking]
         dynamics = [
             TTFSNeurons(
@@ -919,7 +869,6 @@ class TTFSCoding(CodingScheme):
                 window,
                 kernel,
                 self.theta0,
-                emit_events=True,
                 dtype=dtype,
             )
             for stage, window, kernel in zip(spiking, schedule.windows, kernels[1:])

@@ -137,8 +137,8 @@ class TestQuiescenceProtocol:
         identical to per-step threshold comparisons."""
         rng = np.random.default_rng(0)
         u0 = rng.random((3, 40))
-        ref = TTFSNeurons((40,), 0.0, self.window(), self.kernel(), emit_events=True)
-        sched = TTFSNeurons((40,), 0.0, self.window(), self.kernel(), emit_events=True)
+        ref = TTFSNeurons((40,), 0.0, self.window(), self.kernel())
+        sched = TTFSNeurons((40,), 0.0, self.window(), self.kernel())
         ref.reset(3)
         sched.reset(3)
         ref.step(u0.copy(), 0)
@@ -152,7 +152,7 @@ class TestQuiescenceProtocol:
             np.testing.assert_array_equal(a.to_dense(), b.to_dense())
 
     def test_encoder_rows_quiesce_when_pixels_done(self):
-        enc = TTFSInputEncoder(self.kernel(), window=8, emit_events=True)
+        enc = TTFSInputEncoder(self.kernel(), window=8)
         enc.reset(np.array([[0.9], [0.0]]))
         rq = enc.row_quiescent(0)
         assert rq[1]  # the zero sample never fires
