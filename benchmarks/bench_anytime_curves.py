@@ -9,7 +9,7 @@ at the class prior's accuracy (the honest zero-evidence answer) and
 climbs to the full-run accuracy as spike evidence arrives, instead of
 sitting at chance until the readout bias lands.
 
-The same grid runs through an uncalibrated compiled plan, whose bulk
+The same grid runs through a compiled plan, whose bulk
 drains are cut back at each truncation (docs/DESIGN.md §10): its curve
 must equal the engine's at every point.  The plan's wall time per sample
 is also measured with and without a wall-clock budget that never
@@ -80,7 +80,7 @@ def measure_budget_overhead(system) -> dict:
     from repro.snn.engine import Simulator
 
     plan = Simulator(system.network, TTFSCoding(window=system.config.window)).compile(
-        batch_size=1, calibrate=False
+        batch_size=1
     )
     samples = system.x_eval[:TIMED_SAMPLES]
     arms = {"unbudgeted": None, "budgeted": Budget(ms=60_000.0)}
@@ -123,7 +123,7 @@ def measure_curve(system) -> dict:
     full = Simulator(system.network, TTFSCoding(window=window)).run(x, y)
     total_steps = full.steps
     plan = Simulator(system.network, TTFSCoding(window=window)).compile(
-        batch_size=len(x), calibrate=False
+        batch_size=len(x)
     )
     budgets, accuracies, plan_accuracies, margins = [], [], [], []
     for k in budget_grid(total_steps):

@@ -10,7 +10,7 @@ VGG network under TTFS coding (baseline and early-firing schedules):
   per-sample retirement, scheduled TTFS firing, serial and
   multiprocess-sharded (``run_parallel``);
 * ``compiled`` — PR 3's compiled execution plan (``Simulator.compile``):
-  calibrated per-stage kernels, workspace arenas, and the step loop's
+  the engine's kernel choices on workspace arenas, and the step loop's
   window-phased policy with bulk schedule drains.
 
 All rows must satisfy the hard parity requirement (identical predictions

@@ -9,7 +9,7 @@ Runs in under a minute on CPU.  Pipeline:
    without the paper's early-firing pipeline;
 5. serve the test set through the throughput runtime: quiescence
    early-exit plus multiprocess batch sharding (``RunConfig(workers=...)``);
-6. compile an execution plan — calibrated per-stage kernels and
+6. compile an execution plan — the engine's kernel choices on
    zero-allocation workspace arenas (``RunConfig(compiled=True)``,
    DESIGN.md §10);
 7. stand up an online inference service — single-sample requests
@@ -98,7 +98,7 @@ def main() -> None:
           "(quiescence early-exit trims idle tail steps)")
 
     print("\n== 6. compiled execution plan ==")
-    # The "compiled" backend: calibrated per-stage kernels + zero-allocation
+    # The "compiled" backend: the engine's kernel choices on zero-allocation
     # workspace arenas reused across batches (DESIGN.md §10).  Loss-free:
     # identical predictions and spike counts to the uncompiled engine.  The
     # model's runtime caches the compiled simulator, so the second call

@@ -605,7 +605,7 @@ class TTFSInputEncoder(InputEncoder):
         Spikes carry per-event kernel weights and all emitting pixels are
         latched fired.  They leave as one row-major packet unless ``out``
         (``x``-shaped) is given and their density exceeds ``threshold`` —
-        the receiver's calibrated event-kernel threshold — in which case
+        the receiver's event-kernel density threshold — in which case
         the dense weighted tensor is written into ``out``; ``workspace``
         supplies shared scratch (:func:`_drain`).
         """
@@ -736,7 +736,7 @@ class TTFSNeurons(NeuronDynamics):
 
         They leave as one row-major packet unless ``out`` (shaped like the
         population) is given and their density exceeds ``threshold`` — the
-        receiver's calibrated event-kernel threshold — in which case the
+        receiver's event-kernel density threshold — in which case the
         dense weighted tensor is written into ``out`` (which may be
         ``drive`` itself: it is integrated first); ``workspace`` supplies
         shared scratch (:func:`_drain`).

@@ -234,8 +234,8 @@ class T2FSNN:
         predictions to :meth:`run`.  The service tracks this model's coding
         configuration — toggling ``early_firing``, re-optimizing kernels or
         swapping ``self.network`` transparently compiles fresh plans.
-        Execution options (worker pool, plan calibration, steps override,
-        request deadlines) travel in a
+        Execution options (worker pool, steps override, request
+        deadlines) travel in a
         :class:`~repro.runtime.config.RunConfig`; extra keyword arguments
         (``max_pending``, ``breaker``, ``retry``, ``dedupe``, ...) pass
         straight to the :class:`~repro.serve.service.InferenceService`
@@ -248,9 +248,8 @@ class T2FSNN:
                 print(svc.predict(x_test[0]).prediction)
 
         .. versionchanged:: 1.2
-            The deprecated ``workers=``/``calibrate=`` keyword shim
-            (deprecated in 1.1) was removed; pass
-            ``config=RunConfig(workers=..., calibrate=...)``.
+            The deprecated ``workers=`` keyword shim (deprecated in
+            1.1) was removed; pass ``config=RunConfig(workers=...)``.
         """
         return self.runtime.serve(
             config,

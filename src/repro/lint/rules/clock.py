@@ -3,9 +3,9 @@
 Deterministic tests (the breaker's trip/recover cycles, budget expiry,
 deadline culling) depend on every time source being injectable.  The
 codebase concentrates its raw ``time.monotonic``/``time.perf_counter``/
-``time.time`` reads in five *clock seams* — the budget timer, the
-breaker's default clock, the batcher, the service, and the plan
-calibrator's probe timing — and everything else receives a clock.  This
+``time.time`` reads in four *clock seams* — the budget timer, the
+breaker's default clock, the batcher and the service — and everything
+else receives a clock.  This
 rule fails any new raw read (call *or* reference, including
 ``from time import monotonic``) outside those seams.
 """
@@ -26,7 +26,6 @@ CLOCK_SEAMS = (
     "repro/reliability/breaker.py",
     "repro/serve/batcher.py",
     "repro/serve/service.py",
-    "repro/snn/plan.py",
 )
 
 _WALLCLOCK_NAMES = frozenset({"time", "monotonic", "perf_counter"})

@@ -3,8 +3,8 @@
 One extensible seam for every way inference executes (docs/DESIGN.md §12):
 
 * :class:`~repro.runtime.config.RunConfig` — a validated, immutable
-  description of one run (batch size, workers, compiled, calibration,
-  steps, monitors, dtype, deadline and compute budget), and the one table
+  description of one run (batch size, workers, compiled, steps,
+  monitors, dtype, deadline and compute budget), and the one table
   of legal combinations, rejecting illegal ones eagerly;
 * :class:`~repro.runtime.backends.Backend` — the execution protocol, with
   a string-keyed registry (``"serial"``, ``"compiled"``, ``"parallel"``,

@@ -6,8 +6,8 @@ every execution seam grown so far:
 
 * ``"serial"`` — the reference engine (``Simulator.run`` /
   ``run_batched``), the only backend that attaches monitors per step;
-* ``"compiled"`` — cached compiled execution plans with calibrated
-  per-stage kernels and workspace arenas (DESIGN.md §10);
+* ``"compiled"`` — cached compiled execution plans: the reference
+  engine's kernel decisions on workspace arenas (DESIGN.md §10);
 * ``"parallel"`` — multiprocess mini-batch sharding
   (:func:`repro.snn.parallel.run_parallel`), composing with ``compiled``
   via per-worker plans;
@@ -177,7 +177,7 @@ class CompiledBackend:
     Monitor-free runs reuse the runtime's cached compiled simulator —
     constructed lazily, so a cache hit builds nothing — keyed by the
     model's coding configuration; plans themselves cache on the simulator
-    per ``(batch, steps, calibrate)``.  Runs with monitors get a fresh
+    per ``(batch, steps)``.  Runs with monitors get a fresh
     simulator (monitors bind per-run state that must not leak across
     calls).
     """
@@ -201,7 +201,6 @@ class CompiledBackend:
             x,
             y,
             batch_size=config.resolved_batch_size,
-            calibrate=config.calibrate,
             budget=_budget(config),
         )
 
@@ -213,7 +212,7 @@ class ParallelBackend:
     """Multiprocess mini-batch sharding (:mod:`repro.snn.parallel`).
 
     ``config.compiled`` composes: every worker compiles (and caches) its
-    own plan, calibrated as ``config.calibrate`` says.  Degrades gracefully — an unpoolable host falls back to the
+    own plan.  Degrades gracefully — an unpoolable host falls back to the
     serial path inside ``run_parallel`` with a warning.
     """
 
@@ -233,7 +232,6 @@ class ParallelBackend:
             workers=config.workers,
             batch_size=config.resolved_batch_size,
             compiled=config.compiled,
-            calibrate=config.calibrate,
         )
 
     def close(self) -> None:
@@ -276,7 +274,6 @@ class ServiceBackend:
         return InferenceService(
             runtime.model,
             workers=config.workers,
-            calibrate=config.calibrate,
             steps=config.steps,
             **service_kwargs,
         )

@@ -71,12 +71,9 @@ class RunConfig:
         (``min(os.cpu_count(), shards)`` — serial on single-core hosts).
     compiled:
         Execute through a compiled :class:`~repro.snn.plan.ExecutionPlan`
-        (calibrated per-stage kernels + workspace arenas).  Composes with
-        ``workers``: each worker compiles its own plan.
-    calibrate:
-        Calibrate compiled plans (timed per-stage kernel choice).
-        ``False`` pins the reference engine's kernel decisions —
-        bit-identical scores, used by the parity tests.
+        (the reference engine's kernel decisions on workspace arenas,
+        bit-identical scores).  Composes with ``workers``: each worker
+        compiles its own plan.
     steps:
         Time-budget override for free-running schemes; ignored by
         phase-scheduled schemes (TTFS), whose binding derives its length.
@@ -121,7 +118,6 @@ class RunConfig:
     batch_size: int | None = None
     workers: int | str = 1
     compiled: bool = False
-    calibrate: bool = True
     steps: int | None = None
     monitors: tuple = ()
     dtype: np.dtype | None = None
@@ -158,11 +154,8 @@ class RunConfig:
         else:
             raise ValueError(f'workers must be an int or "auto", got {workers!r}')
 
-        for flag in ("compiled", "calibrate"):
-            if not isinstance(getattr(self, flag), bool):
-                raise ValueError(
-                    f"{flag} must be a bool, got {getattr(self, flag)!r}"
-                )
+        if not isinstance(self.compiled, bool):
+            raise ValueError(f"compiled must be a bool, got {self.compiled!r}")
 
         if self.dtype is not None:
             dtype = np.dtype(self.dtype)

@@ -6,8 +6,8 @@ across the codebase:
 
 * the **compiled-simulator cache** that used to live on the model as
   ``_compiled_sim``/``_compiled_key`` (plans live on a simulator, so
-  repeated compiled runs must reuse one simulator or pay calibration
-  every call) — constructed *lazily*, so a cache hit builds nothing;
+  repeated compiled runs must reuse one simulator or recompile every
+  call) — constructed *lazily*, so a cache hit builds nothing;
 * **coding keys** — the fingerprint of the model's coding configuration
   (kernels, early firing, window, network identity token) that
   invalidates compiled simulators, plan pools and service caches;

@@ -81,7 +81,7 @@ from repro.reliability.supervisor import RetryPolicy
 from repro.serve.batcher import MicroBatcher, ServedFuture
 from repro.serve.cache import ResultCache, input_digest
 from repro.snn.budget import Budget
-from repro.snn.engine import Simulator
+from repro.snn.engine import Simulator, _check_batch_size
 from repro.snn.parallel import WorkerPool, resolve_workers
 from repro.snn.results import confidence_margins
 
@@ -298,7 +298,8 @@ class InferenceService:
         :class:`~repro.snn.engine.Simulator` for any coding scheme.
         Model- and runtime-backed services source generation simulators
         and coding keys from the runtime — one cache and one invalidation
-        rule shared with compiled batch runs.
+        rule shared with compiled batch runs.  A simulator-backed service
+        runs on private replicas of the simulator, never on it.
         Monitors are not supported — they observe per-step state and have
         no meaning at request granularity.
     max_batch:
@@ -328,10 +329,6 @@ class InferenceService:
         or ``"auto"`` shards flushes over a persistent worker pool with
         per-worker compiled plans (``"auto"`` stays serial on single-core
         hosts).  Pool failure degrades to serial dispatch with a warning.
-    calibrate:
-        Calibrate compiled plans (timed per-stage kernel choice).  Leave
-        ``True`` for throughput; ``False`` pins the reference engine's
-        kernel decisions (bit-identical scores, used by the parity tests).
     steps:
         Optional time-budget override for free-running schemes; part of
         the plan-pool key.
@@ -381,7 +378,6 @@ class InferenceService:
         wait_ceiling_ms: float | None = None,
         cache_size: int = 256,
         workers: int | str = 1,
-        calibrate: bool = True,
         steps: int | None = None,
         start_method: str | None = None,
         dedupe: bool = True,
@@ -415,17 +411,12 @@ class InferenceService:
                 f"got {source!r}"
             )
         if capacities:
-            caps = tuple(sorted({int(c) for c in capacities}))
-            if caps[0] < 1:
-                raise ValueError(f"capacities must be >= 1, got {caps}")
+            caps = tuple(sorted({_check_batch_size(c, "capacities") for c in capacities}))
         else:
-            if max_batch < 1:
-                raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-            caps = _default_capacities(int(max_batch))
+            caps = _default_capacities(_check_batch_size(max_batch, "max_batch"))
         self.capacities = caps
         self.max_batch = caps[-1]
         self.input_shape = tuple(network.input_shape)
-        self._calibrate = bool(calibrate)
         self._steps = steps
         self._cache = ResultCache(cache_size)
         # submit() increments counters from arbitrary caller threads while
@@ -655,8 +646,13 @@ class InferenceService:
     def _sim_for(self, key) -> Simulator:
         if key == self._gen_key and self._gen_sim is not None:
             return self._gen_sim
+        # A caller's own simulator is never run here: its bound state would
+        # race the caller's runs, and after a hang the abandoned runner
+        # still holds it.  Each generation serves a private replica.
         sim = (
-            self._runtime.simulator() if self._runtime is not None else self._base_sim
+            self._runtime.simulator()
+            if self._runtime is not None
+            else self._base_sim._replica()
         )
         # A new generation orphans the old coding key's plans and cache
         # entries; drop both so a long-lived service cannot accumulate
@@ -672,9 +668,7 @@ class InferenceService:
         plan = self._plans.get(plan_key)
         if plan is None:
             sim = self._sim_for(key)
-            plan = sim.compile(
-                batch_size=capacity, steps=self._steps, calibrate=self._calibrate
-            )
+            plan = sim.compile(batch_size=capacity, steps=self._steps)
             self._plans[plan_key] = plan
             with self._stats_lock:
                 self._stats.plans_compiled += 1
@@ -716,7 +710,6 @@ class InferenceService:
                 self._workers,
                 compiled=True,
                 plan_batch=max(1, -(-self.max_batch // self._workers)),
-                calibrate=self._calibrate,
                 start_method=self._start_method,
                 prefer=("forkserver", "spawn", "fork"),
                 retry=self._retry,

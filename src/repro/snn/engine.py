@@ -59,14 +59,14 @@ from repro.snn.results import AnytimeResult, SimulationResult, confidence_margin
 __all__ = ["Simulator"]
 
 
-def _check_batch_size(batch_size) -> int:
+def _check_batch_size(batch_size, name: str = "batch_size") -> int:
     """Reject non-positive / bool batch sizes loudly (no silent fallback)."""
     if isinstance(batch_size, bool) or not isinstance(
         batch_size, (int, np.integer)
     ):
-        raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
+        raise ValueError(f"{name} must be an int >= 1, got {batch_size!r}")
     if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        raise ValueError(f"{name} must be >= 1, got {batch_size}")
     return int(batch_size)
 
 
@@ -273,10 +273,6 @@ class Simulator:
         self.early_exit = bool(early_exit)
         self.bound = scheme.bind(network, steps)
         self._steps_arg = steps
-        #: Optional ``(stage, spikes) -> None`` hook observing every flushed
-        #: drive input — the plan compiler's calibration pass records the
-        #: spike densities each stage actually sees here.
-        self._flush_observer = None
         self._plans: dict = {}
 
     def _replica(self, scheme=None, steps=None, monitors=()) -> "Simulator":
@@ -300,10 +296,9 @@ class Simulator:
     ) -> np.ndarray | None:
         """Synaptic drive of ``stage`` for one step's spikes (sparse or dense).
 
-        ``pstage`` (a :class:`~repro.snn.plan.StagePlan`) overrides the
-        global ``density_threshold`` with the stage's calibrated one and
-        routes both the dense and the event path through the
-        workspace-arena kernels.
+        ``pstage`` (a :class:`~repro.snn.plan.StagePlan`) routes both the
+        dense and the event path through the workspace-arena kernels, under
+        the stage's threshold.
         """
         if spikes is None:
             return None
@@ -329,8 +324,6 @@ class Simulator:
             # (e.g. a near-silent integration window) still takes the fast path.
             threshold = self.density_threshold if pstage is None else pstage.threshold
             spikes, _ = ev.ingest(spikes, threshold if self.event_driven else 0.0)
-        if self._flush_observer is not None and spikes is not None:
-            self._flush_observer(stage, spikes)
         return self._propagate(stage, spikes, pstage)
 
     def _notify_batch_start(self, x: np.ndarray, y: np.ndarray | None) -> None:
@@ -463,7 +456,7 @@ class Simulator:
         """Simulate one window of ``x``: the engine's only step loop.
 
         ``plan`` (an :class:`~repro.snn.plan.ExecutionPlan`) overlays its
-        calibrated kernels and workspace arenas; ``timer`` is checked
+        per-stage kernels and workspace arenas; ``timer`` is checked
         between steps and truncates the window once spent.  The schedule
         policy is fixed before the first step (docs/DESIGN.md §10):
         *per-step* — the reference, with quiescence, retirement,
@@ -500,8 +493,8 @@ class Simulator:
         readout_stage = self.network.stages[-1]
         stage_names = [s.name for s in spiking_stages]
         counts = {name: 0.0 for name in ["input", *stage_names]}
-        # Compiled-plan overlay: per-stage calibrated thresholds and
-        # workspace-arena kernels; None runs the reference path.
+        # Compiled-plan overlay: per-stage thresholds and workspace-arena
+        # kernels; None runs the reference path.
         stage_plans = plan.stage_plans if plan is not None else [None] * len(
             spiking_stages
         )
@@ -825,7 +818,6 @@ class Simulator:
         batch_size: int = 64,
         start_method: str | None = None,
         compiled: bool = False,
-        calibrate: bool = True,
     ) -> SimulationResult:
         """Shard mini-batches across worker processes and merge the results.
 
@@ -835,8 +827,7 @@ class Simulator:
         staying serial on single-core hosts, where a pool only adds
         overhead.  ``compiled=True`` makes each worker compile (and cache)
         its own execution plan — arenas are process-local, so compiled
-        parallel runs mean per-worker compilation — with ``calibrate``
-        deciding whether those plans run the calibration pass.
+        parallel runs mean per-worker compilation.
         """
         return run_parallel(
             self,
@@ -846,32 +837,23 @@ class Simulator:
             batch_size=batch_size,
             start_method=start_method,
             compiled=compiled,
-            calibrate=calibrate,
         )
 
     # ------------------------------------------------------------------ #
     # compiled execution plans (docs/DESIGN.md §10)
     # ------------------------------------------------------------------ #
 
-    def compile(
-        self,
-        batch_size: int = 64,
-        steps: int | None = None,
-        probe: np.ndarray | None = None,
-        calibrate: bool = True,
-    ):
+    def compile(self, batch_size: int = 64, steps: int | None = None):
         """Compile this simulator into an :class:`~repro.snn.plan.ExecutionPlan`.
 
-        Walks the stages once and fixes, per stage, the propagation operator
-        (event-scatter vs single-GEMM dense, as a calibrated density
-        threshold measured at the spike densities the stage actually sees on
-        a probe batch) together with a :class:`~repro.snn.plan.Workspace`
-        arena of preallocated drive/merge/im2col/GEMM buffers, so
-        steady-state inference reuses storage across steps, batches and
-        runs.  With ``calibrate=False`` every stage keeps the simulator's
-        global ``density_threshold`` and the plan's results are bit-identical
-        to the uncompiled engine; calibration preserves predictions and
-        spike counts exactly and scores up to floating-point reassociation.
+        Walks the stages once and binds, per stage, the propagation
+        operators (event-scatter vs single-GEMM dense, chosen per packet by
+        the simulator's ``density_threshold``, exactly as the uncompiled
+        engine chooses) to a :class:`~repro.snn.plan.Workspace` arena of
+        preallocated drive/merge/im2col/GEMM buffers, so steady-state
+        inference reuses storage across steps, batches and runs.  The
+        plan's results are bit-identical to the uncompiled engine run with
+        ``early_exit=False``.  Plans are cached per ``(batch_size, steps)``.
 
         Parameters
         ----------
@@ -880,25 +862,14 @@ class Simulator:
             batches reuse the same arenas as leading views).
         steps:
             Optional time-budget override; ``None`` keeps the simulator's.
-        probe:
-            Inputs for the calibration density probe; a small synthetic
-            unit-range batch is generated when omitted.
-        calibrate:
-            Run the per-stage kernel calibration pass (see above).
         """
         from repro.snn.plan import compile_plan
 
         batch_size = _check_batch_size(batch_size)
-        key = (batch_size, steps, bool(calibrate))
-        plan = None if probe is not None else self._plans.get(key)
+        key = (batch_size, steps)
+        plan = self._plans.get(key)
         if plan is None:
-            # An explicit probe always recompiles: the caller is asking for
-            # calibration against *these* inputs, not whatever a cached plan
-            # was calibrated on.
-            plan = compile_plan(
-                self, batch_size=batch_size, steps=steps, probe=probe,
-                calibrate=calibrate,
-            )
+            plan = compile_plan(self, batch_size=batch_size, steps=steps)
             self._plans[key] = plan
         return plan
 
@@ -907,9 +878,8 @@ class Simulator:
         x: np.ndarray,
         y: np.ndarray | None = None,
         batch_size: int = 64,
-        calibrate: bool = True,
         budget: Budget | None = None,
     ) -> SimulationResult:
         """Run through a cached compiled plan (:meth:`compile` on first use)."""
-        plan = self.compile(batch_size=batch_size, calibrate=calibrate)
+        plan = self.compile(batch_size=batch_size)
         return plan.run_batched(x, y, budget=budget)

@@ -99,23 +99,20 @@ def resolve_workers(workers: int | str, num_shards: int) -> int:
 #: plan's workspace arenas are process-local and cannot cross a fork/spawn
 #: boundary, so "compiled parallel runs" means per-worker compilation.
 _WORKER_SIM = None
-_WORKER_COMPILED = (False, 64, True)
+_WORKER_COMPILED = (False, 64)
 
 
-def worker_payload(
-    sim, compiled: bool = False, plan_batch: int = 64, calibrate: bool = True
-) -> bytes:
+def worker_payload(sim, compiled: bool = False, plan_batch: int = 64) -> bytes:
     """Pickle a simulator's replication recipe for :func:`_init_worker`.
 
     One payload is shipped per pool (via the initializer), not per shard,
     so a *persistent* :class:`WorkerPool` (the serving layer's) reuses it
-    across micro-batch flushes.  ``sim._steps_arg``
-    travels with the recipe, so a steps override must be baked into ``sim``
-    before building the payload; ``calibrate`` controls the workers' plan
-    compilation when ``compiled`` is set.  The active fault plan (if one
-    is installed, :mod:`repro.reliability.faults`) rides along so worker
-    processes consult the same cross-process fault budget as the parent —
-    under any start method, not just fork.
+    across micro-batch flushes.  ``sim._steps_arg`` travels with the
+    recipe, so a steps override must be baked into ``sim`` before building
+    the payload.  The active fault plan (if one is installed,
+    :mod:`repro.reliability.faults`) rides along so worker processes
+    consult the same cross-process fault budget as the parent — under any
+    start method, not just fork.
     """
     return pickle.dumps(
         (
@@ -127,7 +124,6 @@ def worker_payload(
             sim.early_exit,
             bool(compiled),
             int(plan_batch),
-            bool(calibrate),
             faults.active(),
         )
     )
@@ -146,11 +142,10 @@ def _init_worker(payload: bytes) -> None:
         early_exit,
         compiled,
         plan_batch,
-        calibrate,
         fault_plan,
     ) = pickle.loads(payload)
     faults.adopt(fault_plan)
-    _WORKER_COMPILED = (compiled, plan_batch, calibrate)
+    _WORKER_COMPILED = (compiled, plan_batch)
     _WORKER_SIM = Simulator(
         network,
         scheme,
@@ -172,20 +167,15 @@ def _run_shard(shard) -> SimulationResult:
     # execution itself rather than the queue time.
     scheme, xb, yb, budget_ms = shard
     budget = None if budget_ms is None else Budget(ms=float(budget_ms))
-    compiled, plan_batch, calibrate = _WORKER_COMPILED
+    compiled, plan_batch = _WORKER_COMPILED
     # Stochastic schemes ship one instance per shard (independent random
     # streams); rebind against the worker's cached network.
     sim = _WORKER_SIM if scheme is None else _WORKER_SIM._replica(scheme)
     if compiled:
         # The worker's plan compiles once (cached on its simulator) and is
-        # reused by every shard this process executes.  A fresh scheme
-        # instance per shard cannot reuse a cached plan: it skips the
-        # calibration probe (the expensive part) and keeps the uncalibrated
-        # plan's bit-exact reference decisions.
-        calibrate = calibrate and scheme is None
-        return sim.run_compiled(
-            xb, yb, batch_size=plan_batch, calibrate=calibrate, budget=budget
-        )
+        # reused by every shard this process executes; a fresh scheme
+        # instance per shard compiles its own.
+        return sim.run_compiled(xb, yb, batch_size=plan_batch, budget=budget)
     return sim.run(xb, yb, budget=budget)
 
 
@@ -205,7 +195,6 @@ class WorkerPool(SupervisedPool):
         workers: int,
         compiled: bool = False,
         plan_batch: int = 64,
-        calibrate: bool = True,
         start_method: str | None = None,
         prefer: tuple[str, ...] = ("fork",),
         retry: RetryPolicy | None = None,
@@ -219,7 +208,7 @@ class WorkerPool(SupervisedPool):
         self._scheme = sim.scheme
         self._decision_time = sim.bound.decision_time
         self._context = multiprocessing.get_context(start_method)
-        self._payload = worker_payload(sim, compiled, plan_batch, calibrate)
+        self._payload = worker_payload(sim, compiled, plan_batch)
         super().__init__(self._make_pool, policy=retry, on_rebuild=on_rebuild)
 
     def _make_pool(self) -> ProcessPoolExecutor:
@@ -302,7 +291,6 @@ def run_parallel(
     batch_size: int = 64,
     start_method: str | None = None,
     compiled: bool = False,
-    calibrate: bool = True,
 ) -> SimulationResult:
     """Run ``sim`` over ``x`` with mini-batches sharded across processes.
 
@@ -331,12 +319,9 @@ def run_parallel(
         workspace arenas and cannot cross the process boundary, so each
         worker compiles its own plan once (cached on the worker simulator)
         and reuses it for every shard; stochastic schemes, which ship one
-        scheme instance per shard, get uncalibrated per-shard plans instead
-        (no probe-run cost, reference kernel decisions).  The serial
-        fallback path honours ``compiled`` via ``Simulator.run_compiled``.
-    calibrate:
-        Whether compiled plans run the calibration pass — in the workers
-        and on the serial path alike.
+        scheme instance per shard, compile a plan per shard instead.  The
+        serial fallback path honours ``compiled`` via
+        ``Simulator.run_compiled``.
     """
     from repro.snn.engine import _check_inputs
 
@@ -351,7 +336,7 @@ def run_parallel(
 
     def serial() -> SimulationResult:
         if compiled:
-            return sim.run_compiled(x, y, batch_size=batch_size, calibrate=calibrate)
+            return sim.run_compiled(x, y, batch_size=batch_size)
         return sim.run_batched(x, y, batch_size=batch_size)
 
     if workers == 1 or len(x) <= batch_size:
@@ -362,7 +347,6 @@ def run_parallel(
         min(workers, shards_needed),
         compiled=compiled,
         plan_batch=batch_size,
-        calibrate=calibrate,
         start_method=start_method,
     ) as pool:
         try:

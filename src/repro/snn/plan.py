@@ -3,13 +3,12 @@
 ``Simulator.compile(batch, steps)`` walks a bound network once and fixes
 everything the per-step loop otherwise re-decides:
 
-* **Per-stage operator choice.**  Each stage gets its own density threshold
-  for the event-scatter vs single-GEMM decision, *calibrated* by timing both
-  kernels at the spike densities the stage actually sees on a probe batch —
-  replacing the engine's single global ``density_threshold``, which picks
-  the wrong kernel for some stages (a prebuilt full synapse-CSR operator
-  was measured as well and lost to both kernels at every probed density, so
-  the calibrated operator set is {event-scatter, arena-GEMM}).
+* **Per-stage operator binding.**  Each stage's event-scatter vs
+  single-GEMM decision uses the engine's own density rule: a packet at or
+  below the simulator's ``density_threshold`` takes the event kernel,
+  anything denser the arena GEMM.  Under TTFS coding every neuron fires at
+  most once per window, so the density a stage's drain delivers is set by
+  the coding rather than by the machine, and one rule serves every stage.
 * **Workspace arena.**  Drive/merge tensors, one-sample im2col blocks,
   GEMM and pool outputs and (via :mod:`repro.snn.neurons`) membrane/readout
   state are preallocated once per (batch, dtype) signature and reused
@@ -27,31 +26,49 @@ everything the per-step loop otherwise re-decides:
   sources in bulk, and stops at the end of the last fire window — trimming
   over-provisioned budgets without running the quiescence machinery.
 
-Parity contract: an *uncalibrated* plan (``calibrate=False``) makes exactly
-the reference engine's kernel decisions and is **bit-identical** — same
-predictions, per-stage spike counts and scores — to the uncompiled engine
-run with ``early_exit=False`` (the reference configuration) on every coding
-scheme.  Calibration may re-associate floating-point sums (a different
-kernel computes the same drive), so a calibrated plan pins predictions and
-spike counts exactly and scores to reassociation error.  The uncompiled
-path remains the reference implementation; ``tests/snn/test_plan.py`` pins
-both contracts.
+Parity contract: a plan makes exactly the reference engine's kernel
+decisions and is **bit-identical** — same predictions, per-stage spike
+counts and scores — to the uncompiled engine run with ``early_exit=False``
+(the reference configuration) on every coding scheme.  The uncompiled path
+remains the reference implementation; ``tests/snn/test_plan.py`` pins the
+contract.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.snn import events as ev
 from repro.snn.budget import Budget, BudgetTimer
 from repro.snn.engine import Simulator, _check_batch_size
 from repro.snn.results import SimulationResult
 from repro.snn.schedule import StageWindow
 
 __all__ = ["Workspace", "StagePlan", "WindowSchedule", "ExecutionPlan", "compile_plan"]
+
+#: Page size, and the step between successive arena buffers' start offsets
+#: within a page: 17 cache lines, coprime with the page's 64, so 64
+#: successive buffers start on 64 different lines.
+_PAGE = 4096
+_STAGGER = 17 * 64
+
+
+def _page_staggered(size: int, dtype: np.dtype, zeroed: bool, slot: int) -> np.ndarray:
+    """``size`` elements of ``dtype`` starting at the ``slot``-th staggered
+    offset within a page.
+
+    Arena buffers are allocated back to back, and a malloc'd array whose
+    byte size is a multiple of the page starts at nearly the same page
+    offset as the one before it.  A kernel streaming one such buffer into
+    another then stalls on 4K aliasing (a load whose page offset matches an
+    earlier store's waits for it).  Spreading the starts over the page
+    avoids that whatever the allocator's state was.
+    """
+    pad = _PAGE // dtype.itemsize
+    raw = np.zeros(size + pad, dtype) if zeroed else np.empty(size + pad, dtype)
+    skip = ((slot * _STAGGER - raw.ctypes.data) % _PAGE) // dtype.itemsize
+    return raw[skip : skip + size]
 
 
 class Workspace:
@@ -87,7 +104,7 @@ class Workspace:
         dtype = np.dtype(dtype)
         base = self._buffers.get(key)
         if base is None or base.dtype != dtype or base.size < size:
-            base = np.zeros(size, dtype) if zeroed else np.empty(size, dtype)
+            base = _page_staggered(size, dtype, zeroed, self.allocations)
             self._buffers[key] = base
             self._trailing[key] = shape[1:]
             self.allocations += 1
@@ -108,13 +125,10 @@ class Workspace:
 class StagePlan:
     """One stage's compiled kernel choice and arena bindings.
 
-    ``threshold`` is the stage's calibrated density threshold: an incoming
+    ``threshold`` is the simulator's ``density_threshold``: an incoming
     packet at or below it propagates through the event-scatter kernel,
     above it through the workspace-arena dense GEMM (``1.0`` pins the event
-    path, ``0.0`` the GEMM).  ``calibration`` records the probe densities
-    and kernel timings the choice was derived from (``None`` when
-    uncalibrated — the threshold is then the engine's global default and
-    decisions match the reference engine exactly).
+    path, ``0.0`` the GEMM).
     """
 
     index: int
@@ -124,7 +138,6 @@ class StagePlan:
     out_shape: tuple[int, ...]
     threshold: float
     workspace: Workspace
-    calibration: dict | None = None
 
     def apply_dense(self, x: np.ndarray) -> np.ndarray:
         """The stage's dense linear ops through the workspace arena.
@@ -142,121 +155,6 @@ class StagePlan:
     def merge_out(self, shape, dtype) -> np.ndarray:
         """Arena buffer a deferral window's packets are merged into."""
         return self.workspace.buffer(("merge", self.index), shape, dtype)
-
-
-def _random_packet(rng, batch: int, shape: tuple[int, ...], density: float, dtype):
-    """A synthetic spike packet at a target density (calibration input)."""
-    features = int(np.prod(shape))
-    total = batch * features
-    count = max(1, min(total, int(round(density * total))))
-    pos = rng.choice(total, size=count, replace=False)
-    pos.sort()
-    rows, idx = np.divmod(pos, features)
-    return ev.SpikePacket(
-        rows=rows,
-        idx=idx,
-        weights=rng.random(count).astype(dtype, copy=False),
-        batch=batch,
-        shape=tuple(shape),
-    )
-
-
-def _best_times(fns, repeats: int = 2, clock=time.perf_counter) -> tuple[list[float], float]:
-    """Best-of-``repeats`` wall time of each kernel, timed alternately, and
-    the repeat-to-repeat spread: the kernels' max-min gaps, summed — the
-    noise a difference of two best times can carry.
-
-    Interleaving exposes the kernels to the same scheduler noise, so a slow
-    spell on a shared machine cannot flip the comparison by landing on one
-    kernel's timings only.
-    """
-    for fn in fns:
-        fn()  # warm caches (reverse im2col maps, BLAS threads, arena buffers)
-    times: list[list[float]] = [[] for _ in fns]
-    for _ in range(repeats):
-        for i, fn in enumerate(fns):
-            t0 = clock()
-            fn()
-            times[i].append(clock() - t0)
-    return [min(t) for t in times], sum(max(t) - min(t) for t in times)
-
-
-def _threshold_from_timings(timings, default: float) -> float:
-    """The density threshold a stage's probe timings call for.
-
-    ``timings`` holds ``(density, event_s, gemm_s, spread_s)`` per probe.
-    The event kernel wins a probe only by more than the spread its timings
-    showed from repeat to repeat; a closer call is noise, and the GEMM —
-    whose cost does not depend on the spikes — keeps the probe, so near-tie
-    stages calibrate the same way on every compile.  The threshold lands
-    at the crossover between the densities the event kernel wins (below)
-    and the ones it loses (above); wins above a loss (a non-monotone
-    pattern) fall back to ``default``.
-    """
-    wins = [d for d, te, tg, spread in timings if tg - te > spread]
-    losses = [d for d, te, tg, spread in timings if tg - te <= spread]
-    if not losses:
-        return 1.0
-    if not wins:
-        return 0.0
-    if max(wins) < min(losses):
-        return 0.5 * (max(wins) + min(losses))
-    return default
-
-
-def _calibrate_stage(pstage: StagePlan, batch: int, dtype, densities, default: float):
-    """Pick a stage's density threshold by timing both kernels.
-
-    Probes the event-scatter and arena-GEMM kernels at each observed flush
-    density and places the threshold at the measured crossover
-    (:func:`_threshold_from_timings`).
-    """
-    rng = np.random.default_rng(0xC0FFEE + pstage.index)
-    points = sorted({min(max(float(d), 1e-4), 1.0) for d in densities})
-    if not points:
-        pstage.calibration = {"densities": [], "threshold": default}
-        return
-    timings = []
-    for d in points:
-        packet = _random_packet(rng, batch, pstage.in_shape, d, dtype)
-        dense = packet.to_dense()
-        (t_event, t_gemm), spread = _best_times(
-            [
-                lambda: ev.apply_stage_events(
-                    pstage.stage, packet, pstage.workspace, pstage.index
-                ),
-                lambda: pstage.apply_dense(dense),
-            ]
-        )
-        timings.append((d, t_event, t_gemm, spread))
-    threshold = float(_threshold_from_timings(timings, default))
-    pstage.threshold = threshold
-    pstage.calibration = {
-        "densities": points,
-        "timings": [
-            {"density": d, "event_s": te, "gemm_s": tg, "spread_s": sp}
-            for d, te, tg, sp in timings
-        ],
-        "threshold": threshold,
-    }
-
-
-def _observe_flush_densities(sim: Simulator, probe: np.ndarray) -> dict:
-    """Per-stage spike densities of every drive flush on a probe run."""
-    record: dict[str, list[float]] = {}
-
-    def observer(stage, spikes):
-        if isinstance(spikes, ev.SpikePacket):
-            density = spikes.density
-        else:
-            density = float(np.count_nonzero(spikes)) / max(spikes.size, 1)
-        record.setdefault(stage.name, []).append(density)
-
-    # A private simulator keeps monitor state and bound dynamics untouched.
-    probe_sim = sim._replica()
-    probe_sim._flush_observer = observer
-    probe_sim._run(probe, None)
-    return record
 
 
 @dataclass(frozen=True)
@@ -337,7 +235,6 @@ class ExecutionPlan:
     readout_plan: StagePlan | None = None
     workspace: Workspace | None = None
     batch_size: int = 64
-    calibrated: bool = False
     schedule: WindowSchedule | None = None
 
     @property
@@ -351,19 +248,12 @@ class ExecutionPlan:
 
     def describe(self) -> str:
         """Human-readable per-stage operator table."""
-        lines = [
-            f"ExecutionPlan(batch={self.batch_size}, "
-            f"phased={self.phased}, calibrated={self.calibrated})"
-        ]
+        lines = [f"ExecutionPlan(batch={self.batch_size}, phased={self.phased})"]
         for p in [*self.stage_plans, self.readout_plan]:
-            seen = p.calibration["densities"] if p.calibration else []
             op = "event" if p.threshold >= 1.0 else (
                 "gemm" if p.threshold <= 0.0 else f"auto<= {p.threshold:.4f}"
             )
-            lines.append(
-                f"  {p.name}: operator={op} in={p.in_shape} "
-                f"probed_densities={[round(d, 4) for d in seen]}"
-            )
+            lines.append(f"  {p.name}: operator={op} in={p.in_shape}")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------ #
@@ -439,8 +329,6 @@ def compile_plan(
     sim: Simulator,
     batch_size: int = 64,
     steps: int | None = None,
-    probe: np.ndarray | None = None,
-    calibrate: bool = True,
 ) -> ExecutionPlan:
     """Build an :class:`ExecutionPlan` for ``sim`` (see ``Simulator.compile``)."""
     batch_size = _check_batch_size(batch_size)
@@ -448,9 +336,7 @@ def compile_plan(
     if steps is not None and steps != sim._steps_arg:
         runner = sim._replica(steps=steps, monitors=sim.monitors)
     network = runner.network
-    bound = runner.bound
     workspace = Workspace()
-    dtype = network.dtype
 
     # The spiking stages, then the readout: each stage's input is the
     # previous one's output.
@@ -468,30 +354,12 @@ def compile_plan(
         )
         for i, stage in enumerate(stages)
     ]
-    stage_plans, readout_plan = plans[:-1], plans[-1]
-
-    if calibrate:
-        cal_batch = min(batch_size, 4)
-        if probe is None:
-            rng = np.random.default_rng(0)
-            probe = rng.random((cal_batch,) + tuple(network.input_shape)).astype(dtype)
-        observed = _observe_flush_densities(runner, probe)
-        for pstage in plans:
-            _calibrate_stage(
-                pstage,
-                cal_batch,
-                dtype,
-                observed.get(pstage.name, []),
-                runner.density_threshold,
-            )
-
     return ExecutionPlan(
         simulator=runner,
-        bound=bound,
-        stage_plans=stage_plans,
-        readout_plan=readout_plan,
+        bound=runner.bound,
+        stage_plans=plans[:-1],
+        readout_plan=plans[-1],
         workspace=workspace,
         batch_size=batch_size,
-        calibrated=bool(calibrate),
         schedule=_window_schedule(runner),
     )

@@ -88,13 +88,12 @@ class TestCompiledRunCache:
         # The cached simulator must now be bound to the new network ...
         assert model.runtime._compiled_sim.network is model.network
         # ... and the results must come from the float32 network, not the
-        # stale float64 plan (calibration may re-associate sums, so scores
-        # are compared to tolerance; predictions are exact by contract).
+        # stale float64 plan.
         fresh = T2FSNN(tiny_network.astype(np.float32), window=12).run(
             x, config=compiled
         )
         assert r32.scores.dtype == np.float32
-        np.testing.assert_allclose(r32.scores, fresh.scores, rtol=1e-5)
+        np.testing.assert_array_equal(r32.scores, fresh.scores)
         np.testing.assert_array_equal(r32.predictions, fresh.predictions)
         # Sanity: the float64 run was produced by the old network.
         assert r64.scores.dtype == np.float64

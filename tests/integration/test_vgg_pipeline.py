@@ -105,7 +105,7 @@ class TestEarlyFiringPlanParity:
     positions at the densities a real network produces.
     """
 
-    @pytest.mark.parametrize("operators", ["calibrated", "events"])
+    @pytest.mark.parametrize("operators", ["default", "events"])
     def test_predictions_and_spike_counts_match_dense(
         self, vgg_quarter, operators, monkeypatch
     ):

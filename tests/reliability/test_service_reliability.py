@@ -40,7 +40,6 @@ def _clean_faults():
 
 def make_service(tiny_network, **kwargs):
     kwargs.setdefault("cache_size", 0)
-    kwargs.setdefault("calibrate", False)
     return InferenceService(Simulator(tiny_network, TTFSCoding(window=12)), **kwargs)
 
 

@@ -14,7 +14,6 @@ class TestDefaults:
         assert config.batch_size is None
         assert config.workers == 1
         assert not config.compiled
-        assert config.calibrate
         assert config.steps is None
         assert config.monitors == ()
         assert config.dtype is None
@@ -204,10 +203,16 @@ class TestBudget:
 
 
 class TestOtherFields:
-    @pytest.mark.parametrize("flag", ["compiled", "calibrate"])
+    @pytest.mark.parametrize("flag", ["compiled"])
     def test_flags_must_be_bool(self, flag):
         with pytest.raises(ValueError, match=f"{flag} must be a bool"):
             RunConfig(**{flag: "yes"})
+
+    def test_calibrate_is_not_a_field(self):
+        """Compiled plans make the engine's own kernel choice; there is no
+        calibration to switch on."""
+        with pytest.raises(TypeError):
+            RunConfig(calibrate=True)
 
     @pytest.mark.parametrize("bad", [0, -5, True, 1.5])
     def test_bad_steps_rejected(self, bad):

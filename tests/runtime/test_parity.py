@@ -4,7 +4,7 @@ The acceptance bar for the runtime redesign: routing ``T2FSNN.run``
 through the backend registry changes *where* inference executes, never
 *what* it computes.  Predictions must be bit-identical across every
 backend (and to the pre-refactor serial engine, whose code path the
-serial backend calls unchanged); uncalibrated scores match to
+serial backend calls unchanged); scores match to
 floating-point-noise tolerance (service flushes may pad partial batches,
 changing GEMM shapes).
 """
@@ -17,11 +17,11 @@ from repro.runtime import RunConfig
 
 #: Non-serial configs, each resolving to a distinct registry backend.
 BACKEND_CONFIGS = {
-    "compiled": RunConfig(compiled=True, batch_size=4, calibrate=False),
+    "compiled": RunConfig(compiled=True, batch_size=4),
     "compiled-calibrated": RunConfig(compiled=True, batch_size=4),
     "parallel": RunConfig(workers=2, batch_size=4),
     "parallel-compiled": RunConfig(workers=2, batch_size=4, compiled=True),
-    "service": RunConfig(backend="service", batch_size=4, calibrate=False),
+    "service": RunConfig(backend="service", batch_size=4),
 }
 
 #: The model-level coding configurations (T2FSNN is the TTFS model; the
@@ -45,7 +45,7 @@ def test_backend_matches_serial(tiny_network, tiny_data, variant, backend):
 
 
 def test_uncalibrated_compiled_scores_bit_identical(tiny_network, tiny_data):
-    """Uncalibrated compiled runs keep the engine's bit-exactness contract:
+    """Compiled runs keep the engine's bit-exactness contract:
     identical scores to the full-schedule (early_exit=False) reference."""
     from repro.snn.engine import Simulator
 
@@ -53,7 +53,7 @@ def test_uncalibrated_compiled_scores_bit_identical(tiny_network, tiny_data):
     model = T2FSNN(tiny_network, window=12)
     reference = Simulator(tiny_network, model.coding(), early_exit=False).run(x)
     compiled = model.run(
-        x, config=RunConfig(compiled=True, batch_size=8, calibrate=False)
+        x, config=RunConfig(compiled=True, batch_size=8)
     )
     np.testing.assert_array_equal(compiled.scores, reference.scores)
 

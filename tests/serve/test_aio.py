@@ -26,7 +26,6 @@ def make_aio(network, **overrides):
         capacities=(1, 2, 4),
         max_wait_ms=5.0,
         cache_size=0,
-        calibrate=False,
     )
     kwargs.update(overrides)
     return AsyncInferenceService(
@@ -37,7 +36,7 @@ def make_aio(network, **overrides):
 class TestAsyncParity:
     def test_concurrent_predict_bit_identical(self, tiny_network, tiny_data):
         """Many coroutines awaiting predict() concurrently reproduce
-        Simulator.run exactly (calibrate=False pins kernel choices)."""
+        Simulator.run exactly."""
         x = tiny_data[2][:6]
         ref = Simulator(tiny_network, TTFSCoding(window=12)).run(x)
 
@@ -185,7 +184,6 @@ class TestLifecycle:
             Simulator(tiny_network, TTFSCoding(window=12)),
             capacities=(1,),
             max_wait_ms=1.0,
-            calibrate=False,
         )
         try:
 

@@ -17,7 +17,7 @@ from repro.snn.engine import Simulator
 
 def _service(tiny_network, **kwargs):
     defaults = dict(
-        capacities=(4,), max_wait_ms=100.0, cache_size=0, calibrate=False
+        capacities=(4,), max_wait_ms=100.0, cache_size=0
     )
     defaults.update(kwargs)
     return InferenceService(

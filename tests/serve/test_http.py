@@ -84,7 +84,6 @@ def tiny_service(tiny_network, scheme_key="ttfs", **overrides):
         capacities=(1, 2, 4),
         max_wait_ms=5.0,
         cache_size=0,
-        calibrate=False,
     )
     kwargs.update(overrides)
     return InferenceService(
@@ -369,7 +368,6 @@ class TestDemoService:
             seed=3,
             max_batch=2,
             max_wait_ms=1.0,
-            calibrate=False,
         )
         sample = np.random.default_rng(0).random((1, 8, 8))
         with service:

@@ -44,7 +44,6 @@ class TestServiceParity:
             capacities=(1, 2, capacity),
             max_wait_ms=5.0,
             cache_size=0,
-            calibrate=False,
         )
         with service:
             for k in range(1, capacity + 1):
@@ -60,7 +59,7 @@ class TestServiceParity:
 
     def test_full_capacity_scores_bit_identical(self, tiny_network, tiny_data):
         """At exactly the compiled capacity (no padding, same GEMM shapes),
-        an uncalibrated service is bit-identical in scores too."""
+        the service is bit-identical in scores too."""
         x = tiny_data[2][:6]
         ref = Simulator(
             tiny_network, TTFSCoding(window=12), early_exit=False
@@ -70,7 +69,6 @@ class TestServiceParity:
             capacities=(6,),
             max_wait_ms=50.0,
             cache_size=0,
-            calibrate=False,
         )
         with service:
             results = service.predict_many(x)
@@ -86,7 +84,6 @@ class TestServiceParity:
             capacities=(8,),
             max_wait_ms=5.0,
             cache_size=0,
-            calibrate=False,
         )
         with service:
             results = service.predict_many(x)
@@ -156,7 +153,6 @@ class TestServiceCache:
             capacities=(4,),
             max_wait_ms=5.0,
             cache_size=16,
-            calibrate=False,
         )
         with service:
             first = service.predict_many(x)
@@ -185,7 +181,6 @@ class TestServiceCache:
             capacities=(1,),
             max_wait_ms=2.0,
             cache_size=4,
-            calibrate=False,
         )
         with service:
             first = service.predict(x[0])
@@ -260,7 +255,6 @@ class TestValidation:
             Simulator(tiny_network, TTFSCoding(window=12)),
             capacities=(1,),
             max_wait_ms=2.0,
-            calibrate=False,
         )
         with service:
             result = service.predict(tiny_data[2][:1])  # (1, C, H, W)
@@ -278,7 +272,6 @@ class TestValidation:
             capacities=(2,),
             max_wait_ms=50.0,
             cache_size=0,
-            calibrate=False,
         )
         buf = np.array(x0)
         with service:
@@ -318,6 +311,42 @@ class TestValidation:
             InferenceService(
                 Simulator(tiny_network, TTFSCoding(window=12)), workers=True
             )
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(capacities=(2.5,)), "capacities"),
+            (dict(capacities=(True, 4)), "capacities"),
+            (dict(max_batch=2.5), "max_batch"),
+            (dict(max_batch=True), "max_batch"),
+        ],
+        ids=["float-capacity", "bool-capacity", "float-max-batch", "bool-max-batch"],
+    )
+    def test_non_int_capacities_rejected(self, tiny_network, kwargs, name):
+        """Capacities are batch sizes: a float or bool is an error, not a
+        value to truncate."""
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            InferenceService(Simulator(tiny_network, TTFSCoding(window=12)), **kwargs)
+
+
+class TestSimulatorIsolation:
+    def test_service_runs_on_a_private_replica(self, tiny_network, tiny_data):
+        """The caller's simulator stays the caller's: the service compiles
+        and runs its plans on a replica, and a plan fetched after hang
+        recovery shares no execution state with the abandoned one."""
+        sim = Simulator(tiny_network, TTFSCoding(window=12))
+        with InferenceService(sim, capacities=(2,)) as service:
+            key = service._coding_key()
+            before = service._plan_for(key, 2)
+            assert before.simulator is not sim
+            assert before.bound is not sim.bound
+            service._recover_from_hang()
+            after = service._plan_for(key, 2)
+            assert after.bound is not before.bound
+            assert after.workspace is not before.workspace
+            result = service.predict(tiny_data[2][0])
+        ref = Simulator(tiny_network, TTFSCoding(window=12)).run(tiny_data[2][:1])
+        assert result.prediction == ref.predictions[0]
 
 
 class TestStatsExports:

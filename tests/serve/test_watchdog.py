@@ -30,7 +30,6 @@ def _clean_faults():
 
 def make_service(tiny_network, scheme=None, **kwargs):
     kwargs.setdefault("cache_size", 0)
-    kwargs.setdefault("calibrate", False)
     scheme = scheme if scheme is not None else TTFSCoding(window=12)
     return InferenceService(Simulator(tiny_network, scheme), **kwargs)
 

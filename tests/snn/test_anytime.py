@@ -132,7 +132,7 @@ class TestTruncatedReadout:
                 x, budget=Budget(max_steps=k)
             )
             plan = Simulator(tiny_network, TTFSCoding(window=12)).compile(
-                batch_size=8, calibrate=False
+                batch_size=8
             )
             got = plan.run(x, budget=Budget(max_steps=k))
             assert isinstance(got, AnytimeResult)
@@ -196,7 +196,7 @@ class TestPlanTruncation:
             tiny_network, scheme(), density_threshold=pinned, early_exit=False
         )
         plan = Simulator(tiny_network, scheme(), density_threshold=pinned).compile(
-            batch_size=batch, calibrate=False
+            batch_size=batch
         )
         horizon = plan.run(x).steps
         assert horizon > 12
@@ -215,7 +215,7 @@ class TestPlanTruncation:
             return TTFSCoding(window=12, kernel_params=params)
 
         ref_sim = Simulator(tiny_network, scheme(), early_exit=False)
-        plan = Simulator(tiny_network, scheme()).compile(batch_size=3, calibrate=False)
+        plan = Simulator(tiny_network, scheme()).compile(batch_size=3)
         cuttable = [dyn.can_drain(cut=True) for dyn in plan.bound.dynamics]
         assert cuttable == [False, True]
         horizon = plan.run(x).steps
@@ -230,7 +230,7 @@ class TestPlanTruncation:
         one second per read) truncates exactly like ``max_steps=k``."""
         x = tiny_data[2][:3]
         plan = Simulator(tiny_network, TTFSCoding(window=12)).compile(
-            batch_size=3, calibrate=False
+            batch_size=3
         )
         horizon = plan.run(x).steps
         for k in (1, horizon // 3, horizon // 2, horizon - 1):
@@ -262,7 +262,7 @@ class TestPlanTruncation:
         x = tiny_data[2][:4]
         plan = Simulator(
             tiny_network, TTFSCoding(window=12, early_firing=early_firing)
-        ).compile(batch_size=4, calibrate=False)
+        ).compile(batch_size=4)
         ref = plan.run(x)
         unbudgeted = dict(calls)
         assert unbudgeted["drain_fire_events"] > 0
@@ -305,7 +305,7 @@ class TestMinConfidence:
     ):
         x = tiny_data[2][:8]
         plan = Simulator(tiny_network, TTFSCoding(window=12)).compile(
-            batch_size=8, calibrate=False
+            batch_size=8
         )
         got = plan.run(x, budget=Budget(min_confidence=0.3))
         ref = Simulator(tiny_network, TTFSCoding(window=12)).run(

@@ -209,14 +209,14 @@ class TestBatchSizeValidation:
 
         sim = Simulator(tiny_network, TTFSCoding(window=12))
         with pytest.raises(ValueError, match="batch_size"):
-            compile_plan(sim, batch_size=bad, calibrate=False)
+            compile_plan(sim, batch_size=bad)
 
     @pytest.mark.parametrize("bad", [0, -2, True, 2.5])
     def test_plan_run_batched_rejects_bad_batch_size(
         self, tiny_network, tiny_data, bad
     ):
         plan = Simulator(tiny_network, TTFSCoding(window=12)).compile(
-            batch_size=4, calibrate=False
+            batch_size=4
         )
         with pytest.raises(ValueError, match="batch_size"):
             plan.run_batched(tiny_data[2][:4], batch_size=bad)

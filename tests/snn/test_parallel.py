@@ -132,18 +132,15 @@ class TestCompiledParallel:
         np.testing.assert_array_equal(got.predictions, ref.predictions)
 
     def test_worker_payload_carries_plan_options(self, tiny_network):
-        """The replication recipe must ship compiled/plan_batch/calibrate —
-        a worker that defaulted calibrate would silently serve calibrated
-        plans when the caller pinned the reference decisions."""
+        """The replication recipe must ship compiled/plan_batch — a worker
+        that defaulted them would silently run uncompiled or at another
+        capacity."""
         import pickle
 
         sim = Simulator(tiny_network, TTFSCoding(window=12))
-        fields = pickle.loads(
-            worker_payload(sim, compiled=True, plan_batch=4, calibrate=False)
-        )
+        fields = pickle.loads(worker_payload(sim, compiled=True, plan_batch=4))
         assert fields[6] is True  # compiled
         assert fields[7] == 4  # plan batch capacity
-        assert fields[8] is False  # calibrate
 
     def test_compiled_pool_failure_falls_back_compiled(
         self, tiny_network, tiny_data, monkeypatch, fast_retry
@@ -281,54 +278,3 @@ class TestMergeResults:
         assert merged.total_spikes == pytest.approx(whole.total_spikes)
         assert merged.steps == max(a.steps, b.steps)
 
-
-class TestCalibrateFlag:
-    """``calibrate=False`` must reach every compiled plan the parallel path
-    builds: the workers' payload and the serial fallbacks alike."""
-
-    @staticmethod
-    def _spy(monkeypatch):
-        import repro.snn.parallel as parallel_mod
-
-        seen = {"payload": [], "compile": []}
-        original_payload = parallel_mod.worker_payload
-        original_compile = Simulator.compile
-
-        def payload(sim, compiled=False, plan_batch=64, calibrate=True):
-            seen["payload"].append(calibrate)
-            return original_payload(sim, compiled, plan_batch, calibrate)
-
-        def compile(self, *args, calibrate=True, **kwargs):
-            seen["compile"].append(calibrate)
-            return original_compile(self, *args, calibrate=calibrate, **kwargs)
-
-        monkeypatch.setattr(parallel_mod, "worker_payload", payload)
-        monkeypatch.setattr(Simulator, "compile", compile)
-        return seen
-
-    def test_runconfig_ships_calibrate_to_workers_and_fallback(
-        self, tiny_network, tiny_data, monkeypatch, fast_retry
-    ):
-        from repro.core.t2fsnn import T2FSNN
-        from repro.runtime import RunConfig
-
-        def broken_pool(*a, **k):
-            raise OSError("no process support")
-
-        monkeypatch.setattr("repro.snn.parallel.ProcessPoolExecutor", broken_pool)
-        seen = self._spy(monkeypatch)
-        x, y = tiny_data[2][:8], tiny_data[3][:8]
-        config = RunConfig(workers=2, compiled=True, calibrate=False, batch_size=4)
-        reset_fallback_warnings()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            T2FSNN(tiny_network, window=12).run(x, y, config=config)
-        assert seen["payload"] == [False]
-        assert seen["compile"] == [False]
-
-    def test_serial_path_honours_calibrate(self, tiny_network, tiny_data, monkeypatch):
-        seen = self._spy(monkeypatch)
-        sim = Simulator(tiny_network, TTFSCoding(window=12))
-        run_parallel(
-            sim, tiny_data[2][:8], workers=1, batch_size=4, compiled=True, calibrate=False
-        )
-        assert seen == {"payload": [], "compile": [False]}

@@ -1,15 +1,10 @@
-"""Compiled execution plans: parity, calibration, arenas, zero allocation.
+"""Compiled execution plans: parity, kernel rule, arenas, zero allocation.
 
-The parity contract (docs/DESIGN.md §10) has two tiers:
-
-* an *uncalibrated* plan makes exactly the reference engine's kernel
-  decisions and must be **bit-identical** — predictions, per-stage spike
-  counts and scores — to the uncompiled engine run with ``early_exit=False``
-  on every coding scheme (including the phased TTFS/reverse fast loop with
-  its bulk drains);
-* a *calibrated* plan may pick different kernels per stage, which
-  re-associates floating-point sums: predictions and spike counts stay
-  exact, scores agree to reassociation error.
+The parity contract (docs/DESIGN.md §10): a plan makes exactly the
+reference engine's kernel decisions and must be **bit-identical** —
+predictions, per-stage spike counts and scores — to the uncompiled engine
+run with ``early_exit=False`` on every coding scheme (including the phased
+TTFS/reverse fast loop with its bulk drains).
 
 The workspace arena must make steady-state inference allocation-free:
 repeated ``run_batched`` calls on a compiled plan reuse every buffer
@@ -59,28 +54,13 @@ class TestPlanParity:
         x, y = tiny_data[2][:24], tiny_data[3][:24]
         ref = reference(tiny_network, factory, steps, x, y)
         plan = Simulator(tiny_network, factory(), steps=steps).compile(
-            batch_size=24, calibrate=False
+            batch_size=24
         )
         got = plan.run(x, y)
         np.testing.assert_array_equal(got.scores, ref.scores)
         np.testing.assert_array_equal(got.predictions, ref.predictions)
         assert got.spike_counts == ref.spike_counts
         assert got.accuracy == ref.accuracy
-
-    @pytest.mark.parametrize("scheme_key", sorted(SCHEMES))
-    def test_calibrated_plan_is_loss_free(self, tiny_network, tiny_data, scheme_key):
-        """Calibration may re-associate float sums but never changes what
-        the run computes."""
-        factory, steps = SCHEMES[scheme_key]
-        x, y = tiny_data[2][:16], tiny_data[3][:16]
-        ref = reference(tiny_network, factory, steps, x, y)
-        plan = Simulator(tiny_network, factory(), steps=steps).compile(
-            batch_size=8, calibrate=True
-        )
-        got = plan.run_batched(x, y, batch_size=8)
-        np.testing.assert_array_equal(got.predictions, ref.predictions)
-        assert got.spike_counts == pytest.approx(ref.spike_counts)
-        np.testing.assert_allclose(got.scores, ref.scores, rtol=1e-9, atol=1e-12)
 
     def test_plan_matches_early_exit_runtime(self, tiny_network, tiny_data):
         """The compiled plan and the retirement/early-exit runtime are two
@@ -108,7 +88,7 @@ class TestPlanParity:
         budget = decision + 40
         ref = reference(tiny_network, lambda: TTFSCoding(window=12), budget, x)
         plan = Simulator(tiny_network, TTFSCoding(window=12), steps=budget).compile(
-            batch_size=8, calibrate=False
+            batch_size=8
         )
         got = plan.run(x)
         assert got.steps <= decision < budget == ref.steps
@@ -139,7 +119,7 @@ class TestPlanParity:
         m_ref, m_plan = SpikeCountMonitor(), SpikeCountMonitor()
         Simulator(tiny_network, TTFSCoding(window=12), monitors=[m_ref]).run(x)
         sim = Simulator(tiny_network, TTFSCoding(window=12), monitors=[m_plan])
-        sim.compile(batch_size=8, calibrate=False).run(x)
+        sim.compile(batch_size=8).run(x)
         assert m_plan.counts == m_ref.counts
 
     @pytest.mark.parametrize("scheme_key", sorted(SCHEMES))
@@ -153,7 +133,7 @@ class TestPlanParity:
         factory, steps = SCHEMES[scheme_key]
         capacity = 6
         plan = Simulator(tiny_network, factory(), steps=steps).compile(
-            batch_size=capacity, calibrate=False
+            batch_size=capacity
         )
         for k in range(1, capacity + 1):
             x, y = tiny_data[2][:k], tiny_data[3][:k]
@@ -173,7 +153,7 @@ class TestPlanParity:
         padded[:k] = x
         factory = lambda: TTFSCoding(window=12)  # noqa: E731
         plan = Simulator(tiny_network, factory()).compile(
-            batch_size=capacity, calibrate=False
+            batch_size=capacity
         )
         ref = reference(tiny_network, factory, None, x)
         got = plan.run(padded)
@@ -186,16 +166,16 @@ class TestPlanParity:
 
     def test_compile_caches_plans(self, tiny_network):
         sim = Simulator(tiny_network, TTFSCoding(window=12))
-        p1 = sim.compile(batch_size=8, calibrate=False)
-        p2 = sim.compile(batch_size=8, calibrate=False)
+        p1 = sim.compile(batch_size=8)
+        p2 = sim.compile(batch_size=8)
         assert p1 is p2
-        assert sim.compile(batch_size=16, calibrate=False) is not p1
+        assert sim.compile(batch_size=16) is not p1
 
     def test_oversized_batch_rejected(self, tiny_network, tiny_data):
         """plan.run must not silently grow the arenas past the compiled
         capacity; run_batched splits instead."""
         plan = Simulator(tiny_network, TTFSCoding(window=12)).compile(
-            batch_size=4, calibrate=False
+            batch_size=4
         )
         x = tiny_data[2][:9]
         with pytest.raises(ValueError, match="compiled capacity"):
@@ -209,7 +189,7 @@ def pinned_plan(tiny_network, threshold: float, batch_size: int = 8):
     """A baseline TTFS plan with every stage's threshold pinned: 0.0 sends
     every bulk drain dense (GEMM receivers), 1.0 keeps them packets."""
     plan = Simulator(tiny_network, TTFSCoding(window=16)).compile(
-        batch_size=batch_size, calibrate=False
+        batch_size=batch_size
     )
     for pstage in [*plan.stage_plans, plan.readout_plan]:
         pstage.threshold = threshold
@@ -284,82 +264,32 @@ class TestDenseDrain:
         assert drains == [("drain", 0)]
 
 
-class TestCalibration:
-    def test_calibration_records_probed_densities(self, tiny_network):
-        plan = Simulator(tiny_network, TTFSCoding(window=16)).compile(
-            batch_size=8, calibrate=True
-        )
-        for pstage in [*plan.stage_plans, plan.readout_plan]:
-            assert pstage.calibration is not None
-            assert 0.0 <= pstage.threshold <= 1.0
+class TestKernelRule:
+    def test_plan_keeps_the_simulator_threshold(self, tiny_network):
+        sim = Simulator(tiny_network, TTFSCoding(window=16), density_threshold=0.07)
+        plan = sim.compile(batch_size=8)
+        assert all(p.threshold == 0.07 for p in plan.stage_plans)
+        assert plan.readout_plan.threshold == 0.07
         assert "operator=" in plan.describe()
 
-    def test_best_times_measures_the_repeat_spread(self):
-        now = [0.0]
-        durations = {"event": iter([9.0, 1.0, 1.4]), "gemm": iter([9.0, 2.1, 2.0])}
+    def test_compile_runs_no_probe(self, tiny_network, monkeypatch):
+        """A default compile binds the engine's density rule to every stage
+        without simulating anything."""
+        runs = []
+        original = Simulator._run
 
-        def kernel(name):
-            def run():
-                now[0] += next(durations[name])  # warm-up, then two repeats
+        def counting(self, *args, **kwargs):
+            runs.append(self)
+            return original(self, *args, **kwargs)
 
-            return run
-
-        best, spread = plan_mod._best_times(
-            [kernel("event"), kernel("gemm")], repeats=2, clock=lambda: now[0]
+        monkeypatch.setattr(Simulator, "_run", counting)
+        sim = Simulator(tiny_network, TTFSCoding(window=16))
+        plan = sim.compile(batch_size=8)
+        assert runs == []
+        assert all(
+            p.threshold == sim.density_threshold
+            for p in [*plan.stage_plans, plan.readout_plan]
         )
-        assert best == [1.0, 2.0]
-        assert spread == pytest.approx(0.4 + 0.1)
-
-    @pytest.mark.parametrize(
-        "event_s, gemm_s, spread_s, threshold",
-        [
-            (0.5, 0.625, 0.25, 0.0),  # a win inside the spread: GEMM
-            (0.5, 0.75, 0.25, 0.0),  # a win of exactly the spread: GEMM
-            (0.5, 0.875, 0.25, 1.0),  # a win beyond the spread: event
-            (0.75, 0.5, 0.0, 0.0),  # a loss: GEMM
-        ],
-    )
-    def test_a_win_within_the_spread_keeps_the_gemm(self, event_s, gemm_s, spread_s, threshold):
-        timings = [(0.5, event_s, gemm_s, spread_s)]
-        assert plan_mod._threshold_from_timings(timings, 0.1) == threshold
-
-    def test_threshold_lands_at_the_crossover(self):
-        timings = [
-            (0.01, 0.1e-3, 1.0e-3, 0.05e-3),
-            (0.2, 0.5e-3, 1.0e-3, 0.05e-3),
-            (0.6, 0.98e-3, 1.0e-3, 0.05e-3),  # a near tie: GEMM
-            (0.9, 1.5e-3, 1.0e-3, 0.05e-3),
-        ]
-        assert plan_mod._threshold_from_timings(timings, 0.1) == pytest.approx(0.4)
-        # A tie below a clear win is not a crossover: keep the default.
-        timings[0] = (0.01, 0.99e-3, 1.0e-3, 0.05e-3)
-        assert plan_mod._threshold_from_timings(timings, 0.1) == 0.1
-
-    @pytest.mark.parametrize(
-        "times, spread, threshold",
-        [([1.0e-3, 1.05e-3], 0.1e-3, 0.0), ([1.0e-3, 2.0e-3], 0.1e-3, 1.0)],
-    )
-    def test_calibrate_stage_applies_the_rule(
-        self, tiny_network, monkeypatch, times, spread, threshold
-    ):
-        """Injected kernel timings: a near tie calibrates to the GEMM on
-        every compile, a clear event win to the event kernel."""
-        plan = Simulator(tiny_network, TTFSCoding(window=16)).compile(
-            batch_size=4, calibrate=False
-        )
-        monkeypatch.setattr(plan_mod, "_best_times", lambda fns: (times, spread))
-        pstage = plan.readout_plan
-        plan_mod._calibrate_stage(pstage, 4, np.float64, [0.5], 0.1)
-        assert pstage.threshold == threshold
-        assert pstage.calibration["timings"] == [
-            {"density": 0.5, "event_s": times[0], "gemm_s": times[1], "spread_s": spread}
-        ]
-
-    def test_uncalibrated_keeps_global_threshold(self, tiny_network):
-        sim = Simulator(tiny_network, TTFSCoding(window=16), density_threshold=0.07)
-        plan = sim.compile(batch_size=8, calibrate=False)
-        assert all(p.threshold == 0.07 for p in plan.stage_plans)
-        assert plan.readout_plan.calibration is None
 
 
 class TestWorkspace:
@@ -383,6 +313,17 @@ class TestWorkspace:
         border = np.ones((2, 2, 6, 6), dtype=bool)
         border[:, :, 1:-1, 1:-1] = False
         assert (pad2[border] == 0.0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+    def test_buffers_start_on_distinct_cache_lines(self, dtype):
+        """Page-multiple buffers allocated back to back must start on
+        distinct cache lines of a page (4K aliasing between streamed
+        arrays); malloc alone puts them 16 bytes apart."""
+        ws = Workspace()
+        bufs = [ws.buffer(i, (8, 4096), dtype, zeroed=i % 2 == 0) for i in range(16)]
+        assert len({b.ctypes.data % 4096 // 64 for b in bufs}) == 16
+        assert all(b.flags.c_contiguous and b.nbytes == 8 * 4096 * b.itemsize for b in bufs)
+        assert not bufs[0].any()
 
 
 class TestZeroAllocationSteadyState:

@@ -1,7 +1,7 @@
 """Generated differential check of the step loop's two schedule policies.
 
-``Simulator._run`` is the engine's only step loop.  An uncalibrated
-compiled plan of a window-scheduled scheme runs it under the
+``Simulator._run`` is the engine's only step loop.  A compiled
+plan of a window-scheduled scheme runs it under the
 window-phased policy (schedule-silent stages skipped, bulk drains, cuts on
 truncation); the uncompiled ``early_exit=False`` engine runs it under the
 per-step reference policy.  On untrained random networks, every drawn
@@ -73,7 +73,7 @@ class TestSchedulePolicies:
         factory = SCHEMES[case.scheme]
         plan = Simulator(
             network, factory(), density_threshold=case.density_threshold
-        ).compile(batch_size=case.batch, calibrate=False)
+        ).compile(batch_size=case.batch)
         assert plan.phased
         ref = Simulator(
             network,
