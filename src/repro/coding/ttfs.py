@@ -34,14 +34,18 @@ decisions are identical either way; every population also reports
 per-sample quiescence (``row_quiescent``), which powers early exit and
 batch retirement.
 
-Every spike time comes from one closed-form routine (:class:`_SpikeTimes`,
-bit-identical to ``np.searchsorted`` over the kernel table).  The compiled
+Every spike time comes from one closed-form routine (:class:`_SpikeTimes`:
+a log-linear estimate and one fix-up against the table, bit-identical to
+``np.searchsorted`` over it; a NaN potential never fires).  The compiled
 plan's bulk drains (docs/DESIGN.md §10) use it to emit a whole fire window
 either as one packet or, when the receiver runs its GEMM, as a dense
-tensor written into a buffer the plan supplies, without allocating.  A
-drained spike's weight is the kernel value at its firing offset, so on a
-strictly decreasing table a run truncated by a compute budget can cut a
-drain back to the spikes it actually reached (:func:`_cut`).
+tensor gathered straight into a buffer the plan supplies, without
+allocating.  A drained spike's weight is the kernel value at its firing
+offset, so on a strictly decreasing table a run truncated by a compute
+budget can cut a drain back to the spikes it actually reached
+(:func:`_cut`).  Under the engine's layered schedule policy no step
+touches a stage: its one drain integrates the whole window's drive and
+lands the one-shot bias with it, so a stage fires with one call.
 """
 
 from __future__ import annotations
@@ -90,33 +94,32 @@ class _SpikeTimes:
     A geometric table (the exponential kernel of Eq. 5, tabulated or as a
     LUT) has the closed-form inverse ``dt = ceil(t_d - tau * ln(v/theta0))``.
     The index is estimated log-linearly from the table's own endpoints,
-    truncated, then fixed up once in each direction against the table
-    (``dt += v < W[dt]``, ``dt -= W[dt-1] <= v``), which makes it exact for
-    any estimate within one of the answer.  That bound is verified once here,
-    at every step boundary of the table and its float neighbours, with a
-    quarter-step margin; the estimate is monotone in ``v``, so the boundaries
-    bound every value between them.  A table that fails the check (not
-    geometric, zero or non-finite entries, a single entry) keeps
-    ``np.searchsorted``.  Every pass can write into caller-owned scratch,
-    which is what makes the compiled plan's dense drain allocation-free.
+    half a step late, truncated, then fixed up once against the table
+    (``dt -= W[dt-1] <= v``), which makes it exact for any estimate of the
+    answer or one past it.  That bound is verified once here, at every step
+    boundary of the table and its float neighbours, with a quarter-step
+    margin; the estimate is monotone in ``v``, so the boundaries bound every
+    value between them.  Values are clamped into the table's range with
+    ``fmax``/``fmin``, so a NaN never reaches the integer cast: it clamps to
+    the last entry, fails the fix-up's comparison and never fires.  A table
+    that fails the check (not geometric, zero or non-finite entries, a
+    single entry) keeps ``np.searchsorted``.  Every pass can write into
+    caller-owned scratch, which is what makes the compiled plan's dense
+    drain allocation-free.
     """
 
-    __slots__ = (
-        "weights", "emitted", "cuttable", "_neg", "_lo", "_hi", "_fit", "_clip"
-    )
+    __slots__ = ("weights", "emitted", "cuttable", "_neg", "_hi", "_fit", "_clip")
 
-    #: Slack, in steps, the estimate must keep from the fix-ups' reach.
+    #: Slack, in steps, the estimate must keep from the fix-up's reach.
     MARGIN = 0.25
 
     def __init__(self, weights: np.ndarray):
         self.weights = weights
         dtype = weights.dtype
-        # Tables padded past both ends, so a fix-up never indexes outside
-        # them: _lo[dt] = W[dt], _hi[dt] = W[dt - 1], emitted[dt] = the spike
-        # weight, zero for "never fires".  The pads keep both fix-ups inside
-        # [0, len]: -inf never steps up past the end (_lo) and always steps
-        # back from len + 1 (_hi); NaN never steps below zero (_hi).
-        self._lo = np.concatenate((weights, np.full(2, -np.inf, dtype=dtype)))
+        # Tables padded past both ends, so the fix-up never indexes outside
+        # them: _hi[dt] = W[dt - 1], emitted[dt] = the spike weight, zero for
+        # "never fires".  The pads keep the fix-up inside [0, len]: NaN never
+        # steps below zero, -inf always steps back from len + 1.
         self._hi = np.concatenate(
             (np.full(1, np.nan, dtype=dtype), weights, np.full(1, -np.inf, dtype=dtype))
         )
@@ -145,14 +148,14 @@ class _SpikeTimes:
         top, bottom = np.log(float(w[0])), np.log(float(w[-1]))
         slope = (len(w) - 1) / (bottom - top)
         # Continuous index c(v) = slope * (ln v - ln W[0]) puts a value in
-        # [W[i], W[i-1]) at c in (i-1, i]; +1 centres the truncated estimate
-        # on the fix-ups' reach [i-1, i+1].
-        fit = (1.0 - slope * top, slope)
+        # [W[i], W[i-1]) at c in (i-1, i]; +1.5 centres the truncated
+        # estimate on the fix-up's reach {i, i+1}.
+        fit = (1.5 - slope * top, slope)
         probe = np.concatenate((w, np.nextafter(w, np.inf), np.nextafter(w, -np.inf)))
         est = self._estimate(probe, fit)
         exact = np.searchsorted(self._neg, -probe, side="left")
         fits = bool(
-            np.all(est >= exact - 1 + self.MARGIN)
+            np.all(est >= exact + self.MARGIN)
             and np.all(est <= exact + 2 - self.MARGIN)
         )
         return fit if fits else None
@@ -160,10 +163,12 @@ class _SpikeTimes:
     def _estimate(
         self, values: np.ndarray, fit: tuple[float, float], g: np.ndarray | None = None
     ) -> np.ndarray:
-        """Fractional offset estimate, within one of the answer once
+        """Fractional offset estimate, the answer or one past it once
         truncated; ``g`` is the float scratch it is written into."""
         intercept, slope = fit
-        g = np.clip(values, *self._clip, out=g)
+        lo, hi = self._clip
+        g = np.fmax(values, lo, out=g)  # NaN -> the last entry
+        np.fmin(g, hi, out=g)
         np.log(g, out=g)
         np.multiply(g, slope, out=g)
         np.add(g, intercept, out=g)
@@ -192,12 +197,9 @@ class _SpikeTimes:
             g = self._estimate(values, self._fit, g)
             dt = np.empty(values.shape, dtype=np.intp) if out is None else out
             np.copyto(dt, g, casting="unsafe")  # truncation toward zero
-            np.take(self._lo, dt, out=g, mode="clip")
-            cmp = np.less(values, g, out=cmp)
-            np.add(dt, cmp, out=dt)  # fired later than estimated
             np.take(self._hi, dt, out=g, mode="clip")
-            np.less_equal(g, values, out=cmp)
-            np.subtract(dt, cmp, out=dt)  # fired earlier than estimated
+            cmp = np.less_equal(g, values, out=cmp)
+            np.subtract(dt, cmp, out=dt)  # the estimate ran one past
         if dt_from > 0:
             np.maximum(dt, dt_from, out=dt)
         return dt
@@ -232,6 +234,11 @@ def _drain(
     (``(batch, *shape)``, any strides — e.g. a conv's transposed GEMM
     output) — bit-identical to the packet's ``to_dense()``.  With a
     ``workspace`` the dense path allocates nothing.
+
+    The dense tensor is the gather ``emitted[dt]`` with no mask multiply: a
+    unit below the floor (NaN included) is offset past the table and
+    gathers the zero pad, so only units that fired earlier need zeroing,
+    and only when there are any.
     """
     mask = _scratch(workspace, "mask", values.shape, bool)
     np.greater_equal(values, floor, out=mask)
@@ -260,8 +267,13 @@ def _drain(
         g=g,
         cmp=_scratch(workspace, "cmp", values.shape, bool),
     )
-    np.take(times.emitted, dt, out=g, mode="clip")
-    np.multiply(g.reshape(out.shape), mask.reshape(out.shape), out=out)
+    if out.flags.c_contiguous:
+        np.take(times.emitted, dt.reshape(out.shape), out=out, mode="clip")
+    else:  # a strided target: gather into scratch, then copy across
+        np.take(times.emitted, dt, out=g, mode="clip")
+        np.copyto(out, g.reshape(out.shape))
+    if fired.any():
+        np.copyto(out, 0, where=fired.reshape(out.shape))
     np.logical_or(fired, mask, out=fired)
     return out, count
 
@@ -660,6 +672,9 @@ class TTFSNeurons(NeuronDynamics):
         # Input exhausted but the potentials not yet scheduled (the one-shot
         # bias had not landed when the engine reported it).
         self._schedule_due = False
+        # No step since reset: the membrane is still zero and the one-shot
+        # bias has not landed (drain_fire_events lands it with the drive).
+        self._fresh = True
 
     def phase_window(self) -> StageWindow:
         return self.window
@@ -668,6 +683,7 @@ class TTFSNeurons(NeuronDynamics):
         super().reset(batch_size)
         self._core.reset((batch_size,) + self.shape)
         self._schedule_due = False
+        self._fresh = True
 
     def _bias_settled(self, t: int) -> bool:
         """Whether the one-shot stage bias has been injected by step ``t``."""
@@ -687,6 +703,7 @@ class TTFSNeurons(NeuronDynamics):
 
     def step(self, drive: np.ndarray | None, t: int) -> SpikePacket | None:
         u = self._require_state()
+        self._fresh = False
         if drive is not None:
             u += drive
         if t == self.window.integration_start and self._has_bias:
@@ -726,7 +743,10 @@ class TTFSNeurons(NeuronDynamics):
         Calling this carries the ``note_input_exhausted`` contract — the
         caller guarantees no drive arrives after step ``t`` beyond the
         final ``drive`` delivered here — and requires a settled bias (the
-        potentials are final once ``drive`` is integrated).  The window-phased
+        potentials are final once ``drive`` is integrated).  On a population
+        no step has touched since reset, ``drive`` is the whole integration
+        window and the one-shot bias lands with it: the layered schedule
+        policy fires a stage with this one call.  The window-phased
         step loop uses it *instead of* the per-step firing schedule
         when no downstream stage reads its membrane before this stage's
         fire window ends.  Fire-once semantics make the event positions
@@ -746,6 +766,17 @@ class TTFSNeurons(NeuronDynamics):
             raise RuntimeError("reset() must be called before drain_fire_events()")
         if not self._bias_settled(t):
             raise RuntimeError("drain_fire_events() needs a settled bias")
+        if self._fresh and self._has_bias:
+            # No step has run (the layered schedule policy): the one-shot
+            # bias lands now, in one pass with the drive where the dtypes
+            # agree.  drive + bias is bit-identical to the per-step
+            # 0 + bias + drive (signed zeros aside, which never fire).
+            if drive is None or not drive.dtype == u.dtype == getattr(self.bias, "dtype", None):
+                u += self.bias
+            else:
+                np.add(drive, self.bias, out=u)
+                drive = None
+        self._fresh = False
         if drive is not None:
             u += drive
         self._schedule_due = False

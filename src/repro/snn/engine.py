@@ -37,12 +37,16 @@ so wall time tracks the slowest sample's decision time instead of
 ``total_steps x full batch``.  Both mechanisms are loss-free: predictions,
 scores and spike counts are identical to the full-schedule run.
 
-One step loop, two schedule policies (docs/DESIGN.md §10):
+One step loop, three schedule policies (docs/DESIGN.md §10):
 :meth:`Simulator._run` is the only step loop, and the *per-step* policy
 above is the reference.  A compiled plan of a window-scheduled scheme
 (TTFS, reverse) runs the same loop under the *window-phased* policy: it
 visits only the stages whose windows let them act, drains fire-once
-sources in bulk and stops at the last fire window's end.
+sources in bulk and stops at the last fire window's end.  Where every
+source drains and no budget binds (TTFS baseline, Fig. 3a), the
+*layered* policy visits no step at all: each stage's input ends where
+its fire window opens, so the run is a quantized forward pass — per
+stage one propagate of the upstream drain and one drain of its own.
 """
 
 from __future__ import annotations
@@ -463,7 +467,9 @@ class Simulator:
         ``min_confidence`` and monitors — or *window-phased*, taken when
         ``plan.schedule`` is set, no monitor is attached and the budget
         has no ``min_confidence``; its results are bit-identical to the
-        per-step policy run with ``early_exit=False``.  A bulk drain emits
+        per-step policy run with ``early_exit=False``.  Its *layered* case
+        — every source drains and no timer binds — makes each drain at
+        the step the phased loop would and visits no step.  A bulk drain emits
         spikes scheduled for future steps, so a truncated window cuts them
         back (``cut_drain``): from its source's spike count and, for the
         last stage's drain, held aside until the loop ends, from the
@@ -524,6 +530,15 @@ class Simulator:
         if plan is not None and not self.monitors and min_conf is None:
             sched = plan.schedule
         phased = sched is not None
+        # Layered, a case of window-phased: every source drains and nothing
+        # can stop the window early, so each stage integrates one drain and
+        # fires once — a quantized forward pass with no step visits.
+        layered = (
+            phased
+            and not budget_active
+            and sched.encoder_drains
+            and all(sched.stage_drains)
+        )
         # The readout potential is only read at the end — unless a monitor
         # observes it per step (e.g. accuracy-vs-time curves) or confidence
         # retirement needs the live margin.  Monitors without the
@@ -585,6 +600,28 @@ class Simulator:
             # back; the last stage's drain reaches the readout after the loop.
             drained = []
             held = None
+
+            def drain_stage(i: int, t: int):
+                """Drain stage ``i`` after step ``t``: deliver the last of its
+                drive, then emit the rest of its fire window at once (the
+                potentials are final) towards its receiver."""
+                stage = spiking_stages[i]
+                drive = self._flush(stage, buffers[i], stage_plans[i])
+                target = _drain_target(
+                    receivers[i + 1],
+                    inboxes[i + 1],
+                    (n, *stage.out_shape),
+                    compute_dtype,
+                    drive,
+                )
+                packet, count = bound.dynamics[i].drain_fire_events(t, drive, **target)
+                counts[stage.name] += float(count)
+                if i != last:
+                    drained.append((bound.dynamics[i], stage.name, packet))
+                    if packet is not None:
+                        inboxes[i + 1].add(packet)
+                return packet
+
             if sched.encoder_drains and bound.encoder.can_drain(cut=budget_active):
                 packet, count = bound.encoder.drain_events(
                     **_drain_target(receivers[0], buffers[0], x.shape, compute_dtype)
@@ -595,8 +632,17 @@ class Simulator:
                 if packet is not None:
                     buffers[0].add(packet)
                 enc_steps = 0  # every pixel spike is already in flight
+            if layered:
+                # Each stage's input ends where its fire window opens: one
+                # propagate-and-fire per stage, whose drain also lands the
+                # stage's bias, then the readout's bias.
+                for i in range(last + 1):
+                    held = drain_stage(i, upstream_end[i] - 1)
+                if bias_step is not None:
+                    bound.readout.accumulate(None, bias_step)
+                executed = steps
 
-        for t in range(steps):
+        for t in range(executed, steps):
             if budget_active and timer.expired(executed):
                 truncated = True
                 break
@@ -661,25 +707,9 @@ class Simulator:
                     # No drive can arrive after this step.  A binding budget
                     # drains only tables a truncation can cut back.
                     if sched.stage_drains[i] and dyn.can_drain(cut=budget_active):
-                        # Deliver the last of it: the potentials are final,
-                        # so the rest of the fire window leaves as one packet.
-                        stage = spiking_stages[i]
-                        drive = self._flush(stage, buffers[i], stage_plans[i])
-                        target = _drain_target(
-                            receivers[i + 1],
-                            inboxes[i + 1],
-                            (n, *stage.out_shape),
-                            compute_dtype,
-                            drive,
-                        )
-                        packet, count = dyn.drain_fire_events(t, drive, **target)
-                        counts[stage.name] += float(count)
+                        packet = drain_stage(i, t)
                         if i == last:
                             held = packet
-                        else:
-                            drained.append((dyn, stage.name, packet))
-                            if packet is not None:
-                                inboxes[i + 1].add(packet)
                         exhausted_flags[i] = True
                         awake[i] = silent  # a drained stage never acts again
                     elif buffers[i].empty:

@@ -111,6 +111,28 @@ class TestTTFSNeurons:
             n.step(None, t)
         assert n.u[0, 0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", ["scalar", "array"])
+    def test_drain_of_an_untouched_population_lands_the_bias(self, rng, dtype, bias):
+        """With no step since reset, a drain integrates the whole window and
+        the one-shot bias with it: the same spikes as stepping the bias in."""
+        bias = 0.3 if bias == "scalar" else rng.normal(0.0, 0.3, size=(1, 3)).astype(dtype)
+        drive = rng.normal(0.3, 0.5, size=(4, 3)).astype(dtype)
+        results = []
+        for stepped in (True, False):
+            n = TTFSNeurons((3,), bias=bias, window=self.window(), kernel=kernel(), dtype=dtype)
+            n.reset(4)
+            if stepped:
+                n.step(None, 0)
+            spikes, count = n.drain_fire_events(
+                3, drive.copy(), out=np.empty_like(drive), threshold=0.0
+            )
+            results.append((spikes.copy(), count, n.u.copy()))
+        (want, want_count, want_u), (got, got_count, got_u) = results
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_u, want_u)
+        assert got_count == want_count > 0
+
     def test_late_arrivals_help_unfired_neurons(self):
         """Non-guaranteed integration: late input still drives unfired
         neurons during the fire phase (early-firing semantics)."""
@@ -432,6 +454,44 @@ class TestZeroPotentials:
             assert count == 1
             dense = spikes.to_dense() if isinstance(spikes, SpikePacket) else spikes
             np.testing.assert_array_equal(dense, expected)
+
+
+@pytest.mark.filterwarnings("error")
+class TestNaNPotentials:
+    """A NaN potential never fires: it emits nothing, counts nothing and
+    warns nothing, on the per-step path and in either drain form."""
+
+    WINDOW = StageWindow(integration_start=0, fire_start=4, fire_end=20)
+    X = np.array([[0.5, np.nan, 0.2, 2.0]])
+
+    def neurons(self):
+        n = TTFSNeurons((4,), bias=0.0, window=self.WINDOW, kernel=kernel())
+        n.reset(1)
+        return n
+
+    def test_offsets_put_nan_past_the_table(self):
+        times = _SpikeTimes(tabulate_kernel(kernel(), 16))
+        assert times.closed_form
+        assert times.offsets(np.array([np.nan, 2.0]))[0] == 16
+
+    @pytest.mark.parametrize("threshold", [1.0, 0.0], ids=["packet", "dense"])
+    def test_drains_skip_nan(self, threshold):
+        stepper = self.neurons()
+        stepper.step(self.X.copy(), 0)
+        steps = range(self.WINDOW.fire_start, self.WINDOW.fire_end)
+        reference = sum(s.to_dense() for t in steps if (s := stepper.step(None, t)) is not None)
+        assert reference[0, 1] == 0
+        encoder = TTFSInputEncoder(kernel(), window=self.WINDOW.fire_window)
+        encoder.reset(self.X.copy())
+        drained = self.neurons().drain_fire_events(
+            3, self.X.copy(), out=np.full(self.X.shape, np.nan), threshold=threshold
+        )
+        encoded = encoder.drain_events(out=np.full(self.X.shape, np.nan), threshold=threshold)
+        for spikes, count in (drained, encoded):
+            assert count == 3
+            dense = spikes.to_dense() if isinstance(spikes, SpikePacket) else spikes
+            np.testing.assert_array_equal(dense, reference)
+        assert not encoder._core.fired[0, 1]
 
 
 @st.composite

@@ -18,7 +18,6 @@ from repro.runtime import RunConfig
 #: Non-serial configs, each resolving to a distinct registry backend.
 BACKEND_CONFIGS = {
     "compiled": RunConfig(compiled=True, batch_size=4),
-    "compiled-calibrated": RunConfig(compiled=True, batch_size=4),
     "parallel": RunConfig(workers=2, batch_size=4),
     "parallel-compiled": RunConfig(workers=2, batch_size=4, compiled=True),
     "service": RunConfig(backend="service", batch_size=4),
