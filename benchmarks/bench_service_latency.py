@@ -7,7 +7,7 @@ schedule) in two phases:
 * **saturation** — several client threads submit the whole sample set as
   fast as they can ("concurrent submission"); the sustained samples/sec is
   compared against the compiled plan's batch throughput measured in the
-  same process.  Micro-batching overhead (queueing, futures, padding,
+  same process.  Micro-batching overhead (queueing, futures,
   per-request copies) must cost < ``1 - MIN_SERVICE_RATIO`` of the compiled
   engine's throughput;
 * **poisson** — open-loop Poisson request arrivals at a configurable

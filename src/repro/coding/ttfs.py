@@ -68,6 +68,7 @@ from repro.snn.neurons import (
     arena_zeros,
 )
 from repro.snn.schedule import PhasedSchedule, StageWindow, build_phased_schedule
+from repro.utils.arena import FRESH
 
 __all__ = [
     "TTFSCoding",
@@ -205,14 +206,6 @@ class _SpikeTimes:
         return dt
 
 
-def _scratch(workspace, name: str, shape, dtype) -> np.ndarray:
-    """A drain scratch buffer: shared by every stage through the plan's
-    workspace (it sizes itself to the largest), fresh without one."""
-    if workspace is None:
-        return np.empty(shape, dtype=dtype)
-    return workspace.buffer(("ttfs.drain", name), shape, dtype)
-
-
 def _drain(
     times: _SpikeTimes,
     values: np.ndarray,
@@ -232,15 +225,18 @@ def _drain(
     their density is at or below ``threshold`` (the receiver's event-kernel
     decision), otherwise as the dense weighted tensor written into ``out``
     (``(batch, *shape)``, any strides — e.g. a conv's transposed GEMM
-    output) — bit-identical to the packet's ``to_dense()``.  With a
-    ``workspace`` the dense path allocates nothing.
+    output) — bit-identical to the packet's ``to_dense()``.  Scratch comes
+    from the arena ``workspace`` under ``("ttfs.drain", name)`` keys every
+    stage shares (a plan's buffers size themselves to the largest), so
+    with a plan's workspace the dense path allocates nothing.
 
     The dense tensor is the gather ``emitted[dt]`` with no mask multiply: a
     unit below the floor (NaN included) is offset past the table and
     gathers the zero pad, so only units that fired earlier need zeroing,
     and only when there are any.
     """
-    mask = _scratch(workspace, "mask", values.shape, bool)
+    scratch = workspace.buffer
+    mask = scratch(("ttfs.drain", "mask"), values.shape, bool)
     np.greater_equal(values, floor, out=mask)
     np.greater(mask, fired, out=mask)  # over the floor and not yet fired
     count = int(np.count_nonzero(mask))
@@ -259,13 +255,13 @@ def _drain(
             unique=True,
         )
         return packet, count
-    g = _scratch(workspace, "g", values.shape, times.weights.dtype)
+    g = scratch(("ttfs.drain", "g"), values.shape, times.weights.dtype)
     dt = times.offsets(
         values,
         dt_from,
-        out=_scratch(workspace, "dt", values.shape, np.intp),
+        out=scratch(("ttfs.drain", "dt"), values.shape, np.intp),
         g=g,
-        cmp=_scratch(workspace, "cmp", values.shape, bool),
+        cmp=scratch(("ttfs.drain", "cmp"), values.shape, bool),
     )
     if out.flags.c_contiguous:
         np.take(times.emitted, dt.reshape(out.shape), out=out, mode="clip")
@@ -605,7 +601,7 @@ class TTFSInputEncoder(InputEncoder):
         self,
         out: np.ndarray | None = None,
         threshold: float = 1.0,
-        workspace=None,
+        workspace=FRESH,
     ) -> tuple[SpikePacket | np.ndarray | None, int]:
         """Emit every remaining pixel spike at once; returns ``(spikes, count)``.
 
@@ -618,8 +614,8 @@ class TTFSInputEncoder(InputEncoder):
         latched fired.  They leave as one row-major packet unless ``out``
         (``x``-shaped) is given and their density exceeds ``threshold`` —
         the receiver's event-kernel density threshold — in which case
-        the dense weighted tensor is written into ``out``; ``workspace``
-        supplies shared scratch (:func:`_drain`).
+        the dense weighted tensor is written into ``out``; the arena
+        ``workspace`` supplies shared scratch (:func:`_drain`).
         """
         if self._x is None:
             raise RuntimeError("reset() must be called before drain_events()")
@@ -735,7 +731,7 @@ class TTFSNeurons(NeuronDynamics):
         drive: np.ndarray | None = None,
         out: np.ndarray | None = None,
         threshold: float = 1.0,
-        workspace=None,
+        workspace=FRESH,
     ) -> tuple[SpikePacket | np.ndarray | None, int]:
         """Emit every remaining scheduled spike at once; returns
         ``(spikes, count)``.
@@ -758,8 +754,8 @@ class TTFSNeurons(NeuronDynamics):
         population) is given and their density exceeds ``threshold`` — the
         receiver's event-kernel density threshold — in which case the
         dense weighted tensor is written into ``out`` (which may be
-        ``drive`` itself: it is integrated first); ``workspace`` supplies
-        shared scratch (:func:`_drain`).
+        ``drive`` itself: it is integrated first); the arena ``workspace``
+        supplies shared scratch (:func:`_drain`).
         """
         u = self.u
         if u is None:

@@ -15,8 +15,9 @@ Design notes relevant to the SNN conversion downstream:
 * every layer exposes :meth:`Layer.infer`, an inference-only fast path that
   never touches the backprop caches, performs in-place bias adds, and
   preserves reduced-precision inputs (float32 in gives float32 out when the
-  layer's parameters are float32) — the path the SNN simulator's per-step
-  propagation runs on (docs/DESIGN.md §7).
+  layer's parameters are float32).  It takes its output and scratch from an
+  arena (:mod:`repro.utils.arena`): fresh arrays by default, a compiled
+  plan's workspace on the SNN simulator's hot path (docs/DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import initializers
 from repro.nn.im2col import col2im, conv_output_size, im2col
+from repro.utils.arena import FRESH
 from repro.utils.rng import as_generator
 
 __all__ = [
@@ -87,27 +89,19 @@ class Layer:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
+    def infer(self, x: np.ndarray, ws=FRESH, key=None) -> np.ndarray:
         """Inference-only forward pass: no backprop caches, no training state.
 
-        Subclasses override this with an allocation-lean implementation; the
-        default simply delegates to :meth:`forward` with ``training=False``.
+        ``ws`` is the arena the output and scratch come from (anything with
+        ``buffer(key, shape, dtype, zeroed=False) -> ndarray``): fresh
+        arrays by default, or a compiled plan's persistent
+        :class:`~repro.snn.plan.Workspace`, in which case the result may be
+        a view into it, valid until the layer's next call with the same
+        ``ws`` and ``key`` (which namespaces this layer's buffers).  The
+        arena never changes the arithmetic.  The default delegates to
+        :meth:`forward` with ``training=False`` and ignores the arena.
         """
         return self.forward(x, training=False)
-
-    def infer_ws(self, x: np.ndarray, ws, key) -> np.ndarray:
-        """:meth:`infer` through a workspace arena (zero steady-state allocs).
-
-        ``ws`` is duck-typed with ``buffer(key, shape, dtype, zeroed=False)
-        -> ndarray`` returning persistent preallocated storage (the SNN
-        plan's :class:`~repro.snn.plan.Workspace`); ``key`` namespaces this
-        layer's buffers within it.  Results are bit-identical to
-        :meth:`infer` — the heavy layers override this to run the same
-        kernel with its scratch and output in arena buffers, and may return
-        views into them, valid until the layer's next ``infer_ws`` call on
-        the same workspace.  The default ignores the workspace.
-        """
-        return self.infer(x)
 
     def params(self) -> list[Parameter]:
         """Learnable parameters of this layer (empty by default)."""
@@ -175,17 +169,11 @@ class Dense(Layer):
             self._x = x
         return self.infer(x)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.weight.data
-        if self.bias is not None:
-            out += self.bias.data  # matmul output is fresh: in-place is safe
-        return out
-
-    def infer_ws(self, x: np.ndarray, ws, key) -> np.ndarray:
-        out = ws.buffer(
-            (key, "dense"), (x.shape[0], self.out_features), self.weight.data.dtype
-        )
-        np.matmul(x, self.weight.data, out=out)
+    def infer(self, x: np.ndarray, ws=FRESH, key=None) -> np.ndarray:
+        weight = self.weight.data
+        dtype = np.result_type(x.dtype, weight.dtype)
+        out = ws.buffer((key, "dense"), (x.shape[0], self.out_features), dtype)
+        np.matmul(x, weight, out=out)
         if self.bias is not None:
             out += self.bias.data
         return out
@@ -277,27 +265,15 @@ class Conv2D(Layer):
             self._x_shape = x.shape
         return self._apply(x.shape, cols)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """The windowed per-sample GEMM of :meth:`infer_ws`, into fresh buffers."""
-        block, padded, out, dtype = self._infer_shapes(x)
-        return self._infer_into(
-            x,
-            np.empty(block, dtype),
-            None if padded is None else np.zeros(padded, dtype),
-            np.empty(out, dtype),
-        )
-
-    def infer_ws(self, x: np.ndarray, ws, key) -> np.ndarray:
-        """Arena :meth:`infer`: the same kernel, scratch and output from ``ws``.
+    def infer(self, x: np.ndarray, ws=FRESH, key=None) -> np.ndarray:
+        """Inference convolution: a windowed per-sample GEMM.
 
         Per sample, the receptive fields are copied from a read-only
         sliding-window view of the (padded) sample into a one-sample
         ``(C*KH*KW, L)`` im2col block, and one ``np.matmul`` writes
         ``W @ block`` straight into that sample's slice of a C-contiguous
-        ``(N, F, H, W)`` drive.  The scratch is one sample — cache-sized —
-        at any batch.  Bit-identical to
-        :meth:`infer` by construction: both run the same copies and the
-        same BLAS calls.  The sparse event kernel (``repro.snn.events``)
+        ``(N, F, H, W)`` output.  The scratch is one sample — cache-sized —
+        at any batch.  The sparse event kernel (``repro.snn.events``)
         writes its drive into this key's ``"gemm"`` buffer, in the same
         layout.
         """
@@ -430,24 +406,16 @@ class AvgPool2D(Layer):
         )
         return cols.mean(axis=1).reshape(n, c, out_h, out_w)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Inference pooling: a 2x2 pool runs the pairwise sum of
-        :meth:`infer_ws` into fresh buffers; other pools run :meth:`forward`."""
-        shape = self._pair_shape(x)
-        if shape is None:
-            return self.forward(x)
-        return self._pair_sum(x, np.empty(shape, x.dtype), np.empty(shape, x.dtype))
-
-    def infer_ws(self, x: np.ndarray, ws, key) -> np.ndarray:
-        """Arena :meth:`infer`.
+    def infer(self, x: np.ndarray, ws=FRESH, key=None) -> np.ndarray:
+        """Inference pooling.
 
         A 2x2 pool is ``((x00 + x01) + (x10 + x11)) * 0.25`` over the four
-        strided corner views, summed in arena buffers.  The arithmetic does
-        not depend on the input's strides (numpy's reduction order for
-        ``mean`` does), it is bit-identical to ``reshape(...).mean(axis=(3,
-        5))`` on a C-contiguous input with at least two output columns, and
-        it runs several times faster.  Other non-overlapping pools keep the
-        mean; ragged or overlapping pools fall back to :meth:`infer`.
+        strided corner views.  The arithmetic does not depend on the
+        input's strides (numpy's reduction order for ``mean`` does), it is
+        bit-identical to ``reshape(...).mean(axis=(3, 5))`` on a
+        C-contiguous input with at least two output columns, and it runs
+        several times faster.  Other non-overlapping pools keep the mean;
+        ragged or overlapping pools and integer inputs run :meth:`forward`.
         """
         shape = self._pair_shape(x)
         if shape is not None:
@@ -457,11 +425,12 @@ class AvgPool2D(Layer):
                 ws.buffer((key, "pool.pair"), shape, x.dtype),
             )
         n, c, h, w = x.shape
-        if not (self.stride == self.size and h % self.size == 0 and w % self.size == 0):
-            return self.infer(x)  # ragged/overlapping pools are rare; stay simple
-        out_h, out_w = h // self.size, w // self.size
+        size = self.size
+        if self.stride != size or h % size or w % size or x.dtype.kind != "f":
+            return self.forward(x)  # rare: ragged/overlapping pools, integer input
+        out_h, out_w = h // size, w // size
         out = ws.buffer((key, "pool"), (n, c, out_h, out_w), x.dtype)
-        x.reshape(n, c, out_h, self.size, out_w, self.size).mean(axis=(3, 5), out=out)
+        x.reshape(n, c, out_h, size, out_w, size).mean(axis=(3, 5), out=out)
         return out
 
     def _pair_shape(self, x: np.ndarray) -> tuple[int, int, int, int] | None:
@@ -566,7 +535,7 @@ class Flatten(Layer):
             self._x_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
+    def infer(self, x: np.ndarray, ws=FRESH, key=None) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -599,7 +568,7 @@ class Dropout(Layer):
         self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
+    def infer(self, x: np.ndarray, ws=FRESH, key=None) -> np.ndarray:
         return x
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

@@ -234,7 +234,7 @@ class RunConfig:
                 raise ValueError(
                     "min_confidence retires individual samples inside a "
                     'batch window and has no meaning under backend="service" '
-                    "(requests are padded micro-batches); use budget_ms to "
+                    "(requests share micro-batch windows); use budget_ms to "
                     "bound served execution"
                 )
             if self.backend == "service" and self.dtype is not None:

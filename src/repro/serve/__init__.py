@@ -7,8 +7,8 @@ decision available at a fixed schedule depth).  See docs/DESIGN.md §11.
 
 * :class:`~repro.serve.service.InferenceService` — the facade: submit
   single samples from any thread, get futures; plans are pre-compiled per
-  ``(coding_key, batch_capacity, steps)`` and partial batches are padded
-  to the nearest capacity;
+  ``(coding_key, batch_capacity, steps)`` and a partial batch runs
+  unpadded on the smallest capacity that holds it;
 * :class:`~repro.serve.batcher.MicroBatcher` — flush on ``max_batch`` or
   ``max_wait_ms``, whichever first;
 * :class:`~repro.serve.cache.ResultCache` — digest-keyed LRU replay of

@@ -7,11 +7,11 @@ runtime: callers submit *single samples* from any thread and get a
 micro-batches (flush on ``max_batch`` or ``max_wait_ms``, whichever first)
 that execute through a pool of pre-compiled
 :class:`~repro.snn.plan.ExecutionPlan` s keyed by
-``(coding_key, batch_capacity, steps)``.  Partial batches are zero-padded
-up to the nearest compiled capacity and un-padded before results are
-returned — row independence of the simulation makes the real rows'
-predictions bit-identical to ``Simulator.run`` (the padding rows are
-discarded).  A digest-keyed LRU :class:`~repro.serve.cache.ResultCache`
+``(coding_key, batch_capacity, steps)``.  A flush of ``n`` samples runs
+at size ``n`` on the smallest compiled capacity ``>= n``, as leading views
+of that plan's arenas — ``ExecutionPlan.run`` returns rows bit-identical
+to ``Simulator.run`` at every size up to its capacity, so nothing is
+padded.  A digest-keyed LRU :class:`~repro.serve.cache.ResultCache`
 replays repeated inputs without touching the engine, and ``workers > 1``
 shards flushes over a persistent :class:`~repro.snn.parallel.WorkerPool`
 — the same shard runner ``run_parallel`` uses, built once per service.
@@ -139,6 +139,8 @@ class ServiceStats:
     dedup_hits: int = 0
     flushes: int = 0
     flushed_samples: int = 0
+    #: Always 0: flushes run unpadded.  Kept because the benchmark reads
+    #: it (``batcher.padding_share``); drop it with the next benchmark change.
     padded_samples: int = 0
     plans_compiled: int = 0
     workers: int = 1
@@ -214,8 +216,8 @@ class ServiceHealth:
 
 
 #: Fraction of the flush deadline handed to the engine as its compute
-#: budget — the remainder is headroom for stacking, padding, plan lookup
-#: and settlement, so a well-behaved budgeted flush finishes *inside* the
+#: budget — the remainder is headroom for stacking, plan lookup and
+#: settlement, so a well-behaved budgeted flush finishes *inside* the
 #: watchdog's deadline instead of racing it.
 _ENGINE_FRACTION = 0.5
 
@@ -305,8 +307,8 @@ class InferenceService:
     max_batch:
         Largest micro-batch (and the largest compiled plan capacity).
     capacities:
-        Batch capacities to compile plans for; a flush of ``k`` samples is
-        zero-padded to the smallest capacity ``>= k``.  Default: powers of
+        Batch capacities to compile plans for; a flush of ``k`` samples
+        runs on the smallest capacity ``>= k``.  Default: powers of
         two up to ``max_batch``.  When given, overrides ``max_batch`` with
         ``max(capacities)``.
     max_wait_ms:
@@ -686,7 +688,7 @@ class InferenceService:
             self._stats.pool_rebuilds += 1
 
     def _execute(self, key, xs: np.ndarray) -> np.ndarray:
-        """Run one stacked micro-batch; returns scores for the real rows."""
+        """Run one stacked micro-batch; returns its rows' scores."""
         return self._execute_budgeted(key, xs, None, self._flush_epoch)[0]
 
     def _drop_pool(self, force: bool = False) -> None:
@@ -718,24 +720,11 @@ class InferenceService:
             self._pool_key = key
         return self._pool
 
-    def _padded_plan(self, key, xs: np.ndarray):
-        """The serial plan for this flush, plus ``xs`` padded to its capacity."""
-        n = len(xs)
-        capacity = self._capacity_for(n)
-        plan = self._plan_for(key, capacity)
-        if n < capacity:
-            padded = np.zeros((capacity, *self.input_shape), dtype=xs.dtype)
-            padded[:n] = xs
-            with self._stats_lock:
-                self._stats.padded_samples += capacity - n
-            xs = padded
-        return plan, xs
-
     def _execute_budgeted(
         self, key, xs: np.ndarray, engine_ms: float | None, epoch: int
     ):
         """Run one micro-batch, as an anytime window when ``engine_ms`` is
-        set; returns ``(scores, exhausted)`` for the real rows.
+        set; returns ``(scores, exhausted)``.
 
         With ``workers > 1`` the parallel path is gated by the circuit
         breaker: a flush whose supervised pool retries are exhausted
@@ -754,7 +743,6 @@ class InferenceService:
             faults.check(faults.FLUSH_HANG)
         if epoch != self._flush_epoch:
             raise _FlushAbandoned()
-        n = len(xs)
         if self._pool is not None and self._pool_key != key:
             # The model was reconfigured: workers hold plans for the old
             # coding key, so the pool must be rebuilt.
@@ -777,10 +765,10 @@ class InferenceService:
                 self._breaker.record_success()
                 return result.scores, getattr(result, "budget_exhausted", False)
         faults.check(faults.KERNEL_EXCEPTION)
-        plan, xs = self._padded_plan(key, xs)
+        plan = self._plan_for(key, self._capacity_for(len(xs)))
         budget = None if engine_ms is None else Budget(ms=engine_ms)
         result = plan.run(xs, budget=budget)
-        return result.scores[:n], getattr(result, "budget_exhausted", False)
+        return result.scores, getattr(result, "budget_exhausted", False)
 
     def _pop_followers(self, digest) -> list:
         if digest is None:

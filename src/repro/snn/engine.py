@@ -53,12 +53,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.convert.converter import ConvertedNetwork, ConvertedStage
+from repro.convert.converter import ConvertedNetwork
 from repro.snn import events as ev
 from repro.snn.budget import Budget, BudgetTimer
 from repro.snn.events import SpikePacket
 from repro.snn.parallel import merge_results, run_parallel
 from repro.snn.results import AnytimeResult, SimulationResult, confidence_margins
+from repro.utils.arena import FRESH
 
 __all__ = ["Simulator"]
 
@@ -111,14 +112,29 @@ class _DriveBuffer:
     dense engine's behavior, which flushes every step); multiple emissions
     are merged into one dense tensor, since integration is additive and the
     stage ops are linear.
+
+    Packets are merged (:func:`repro.snn.events.merge_packets`) into the
+    arena ``ws``'s buffer under ``key``: the stage's ``("merge", index)``
+    in its plan's workspace.
     """
 
-    __slots__ = ("_single", "_packets", "_sum")
+    __slots__ = ("_single", "_packets", "_sum", "_ws", "_key")
 
-    def __init__(self):
+    def __init__(self, ws=FRESH, key=None):
         self._single: np.ndarray | SpikePacket | None = None
         self._packets: list[SpikePacket] | None = None
         self._sum: np.ndarray | None = None
+        self._ws = ws
+        self._key = key
+
+    def _merged(self) -> np.ndarray:
+        """The buffered packets merged into the arena buffer; clears them."""
+        first = self._packets[0]
+        shape = (first.batch,) + tuple(first.shape)
+        out = self._ws.buffer(self._key, shape, first.weights.dtype)
+        merged = ev.merge_packets(self._packets, out)
+        self._packets = None
+        return merged
 
     def add(self, spikes: np.ndarray | SpikePacket) -> None:
         if self._sum is not None:
@@ -127,8 +143,7 @@ class _DriveBuffer:
             if isinstance(spikes, SpikePacket):
                 self._packets.append(spikes)
             else:
-                self._sum = ev.merge_packets(self._packets)
-                self._packets = None
+                self._sum = self._merged()
                 self._accumulate(spikes)
         elif self._single is None:
             self._single = spikes
@@ -184,26 +199,15 @@ class _DriveBuffer:
         if self._sum is not None:
             self._sum = self._sum[keep]
 
-    def take(self, merge_out=None) -> tuple[np.ndarray | SpikePacket | None, bool]:
+    def take(self) -> tuple[np.ndarray | SpikePacket | None, bool]:
         """Pop the buffered drive input; second element marks a merged tensor
         (whose density the caller should re-measure before propagating).
 
-        ``merge_out`` is an optional ``(shape, dtype) -> ndarray`` provider
-        returning the workspace buffer an all-packet deferral window is
-        merged into (:func:`repro.snn.events.merge_packets`) — the compiled
-        plan's zero-allocation path.  A single buffered emission ignores it
-        and passes through untouched.
+        An all-packet deferral window is merged into the arena buffer; a
+        single buffered emission passes through untouched.
         """
         if self._packets is not None:
-            out = None
-            if merge_out is not None:
-                first = self._packets[0]
-                out = merge_out(
-                    (first.batch,) + tuple(first.shape), first.weights.dtype
-                )
-            merged = ev.merge_packets(self._packets, out=out)
-            self._packets = None
-            return merged, True
+            return self._merged(), True
         single, merged = self._single, self._sum
         self._single = None
         self._sum = None
@@ -293,42 +297,31 @@ class Simulator:
         )
 
     def _propagate(
-        self,
-        stage: ConvertedStage,
-        spikes: np.ndarray | SpikePacket | None,
-        pstage=None,
+        self, pstage, spikes: np.ndarray | SpikePacket | None
     ) -> np.ndarray | None:
-        """Synaptic drive of ``stage`` for one step's spikes (sparse or dense).
+        """Synaptic drive of ``pstage``'s stage for one step's spikes.
 
-        ``pstage`` (a :class:`~repro.snn.plan.StagePlan`) routes both the
-        dense and the event path through the workspace-arena kernels, under
-        the stage's threshold.
+        ``pstage`` (a :class:`~repro.snn.plan.StagePlan`) binds the stage's
+        kernels to an arena: a packet at or below its threshold takes the
+        event kernel, anything else the dense ops.
         """
         if spikes is None:
             return None
         if isinstance(spikes, SpikePacket):
-            threshold = self.density_threshold if pstage is None else pstage.threshold
-            if self.event_driven and spikes.density <= threshold:
-                if pstage is None:
-                    return ev.apply_stage_events(stage, spikes)
+            if self.event_driven and spikes.density <= pstage.threshold:
                 return ev.apply_stage_events(
-                    stage, spikes, pstage.workspace, pstage.index
+                    pstage.stage, spikes, pstage.workspace, pstage.index
                 )
             spikes = spikes.to_dense()
-        if pstage is not None:
-            return pstage.apply_dense(spikes)
-        return stage.apply(spikes)
+        return pstage.apply_dense(spikes)
 
-    def _flush(
-        self, stage: ConvertedStage, buffer: _DriveBuffer, pstage=None
-    ) -> np.ndarray | None:
-        spikes, merged = buffer.take(None if pstage is None else pstage.merge_out)
+    def _flush(self, pstage, buffer: _DriveBuffer) -> np.ndarray | None:
+        spikes, merged = buffer.take()
         if merged:
             # A deferred batch: re-measure density so a sparse accumulation
             # (e.g. a near-silent integration window) still takes the fast path.
-            threshold = self.density_threshold if pstage is None else pstage.threshold
-            spikes, _ = ev.ingest(spikes, threshold if self.event_driven else 0.0)
-        return self._propagate(stage, spikes, pstage)
+            spikes, _ = ev.ingest(spikes, pstage.threshold if self.event_driven else 0.0)
+        return self._propagate(pstage, spikes)
 
     def _notify_batch_start(self, x: np.ndarray, y: np.ndarray | None) -> None:
         for monitor in self.monitors:
@@ -439,12 +432,12 @@ class Simulator:
                 pending = buffers[i].rows_with_events(batch)
                 if pending is not None:
                     quiet &= ~pending
-            rows = dyn.row_quiescent(t)
-            if rows is None:
+            stage_quiet = dyn.row_quiescent(t)
+            if stage_quiet is None:
                 return None
-            all_rows_quiet = bool(rows.all())
+            all_rows_quiet = bool(stage_quiet.all())
             if not all_rows_quiet:
-                quiet &= rows
+                quiet &= stage_quiet
             elif exhausted_flags[i] and buffer_empty:
                 done_flags[i + 1] = True
             upstream_silent = upstream_silent and buffer_empty and all_rows_quiet
@@ -459,8 +452,10 @@ class Simulator:
     ) -> SimulationResult:
         """Simulate one window of ``x``: the engine's only step loop.
 
-        ``plan`` (an :class:`~repro.snn.plan.ExecutionPlan`) overlays its
-        per-stage kernels and workspace arenas; ``timer`` is checked
+        ``plan`` (an :class:`~repro.snn.plan.ExecutionPlan`) binds the
+        kernels to its workspace arena; without one they run over fresh
+        arrays (``repro.snn.plan.stage_plans`` over
+        ``repro.utils.arena.FRESH``).  ``timer`` is checked
         between steps and truncates the window once spent.  The schedule
         policy is fixed before the first step (docs/DESIGN.md §10):
         *per-step* — the reference, with quiescence, retirement,
@@ -496,15 +491,16 @@ class Simulator:
         bound.readout.reset(n)
 
         spiking_stages = [s for s in self.network.stages if s.spiking]
-        readout_stage = self.network.stages[-1]
         stage_names = [s.name for s in spiking_stages]
         counts = {name: 0.0 for name in ["input", *stage_names]}
-        # Compiled-plan overlay: per-stage thresholds and workspace-arena
-        # kernels; None runs the reference path.
-        stage_plans = plan.stage_plans if plan is not None else [None] * len(
-            spiking_stages
-        )
-        readout_plan = plan.readout_plan if plan is not None else None
+        # Kernel bindings: the plan's over its arena, the reference's over
+        # fresh arrays, both under the density rule.
+        if plan is not None:
+            stage_plans, readout_plan = plan.stage_plans, plan.readout_plan
+        else:
+            from repro.snn.plan import stage_plans as bind_kernels
+
+            *stage_plans, readout_plan = bind_kernels(self, FRESH)
 
         self._notify_batch_start(x, y)
 
@@ -517,8 +513,9 @@ class Simulator:
         # receiving dynamics read their membrane potential.  The dense
         # engine, and any dynamics whose needs_drive is always true, flush
         # every step — i.e. the classic per-step propagation.
-        buffers = [_DriveBuffer() for _ in spiking_stages]
-        readout_buffer = _DriveBuffer()
+        *buffers, readout_buffer = [
+            _DriveBuffer(p.workspace, ("merge", p.index)) for p in (*stage_plans, readout_plan)
+        ]
         # Anytime budget (docs/DESIGN.md §14): a binding timer truncates the
         # window between steps; min_confidence forces per-step readout
         # flushes so margins are live.
@@ -606,7 +603,7 @@ class Simulator:
                 drive, then emit the rest of its fire window at once (the
                 potentials are final) towards its receiver."""
                 stage = spiking_stages[i]
-                drive = self._flush(stage, buffers[i], stage_plans[i])
+                drive = self._flush(stage_plans[i], buffers[i])
                 target = _drain_target(
                     receivers[i + 1],
                     inboxes[i + 1],
@@ -664,13 +661,9 @@ class Simulator:
             for i, (stage, dyn) in enumerate(zip(spiking_stages, bound.dynamics)):
                 if constant and i == 0 and spikes is not None:
                     if input_drive_cache is None:
-                        input_drive_cache = self._propagate(
-                            stage, spikes, stage_plans[0]
-                        )
-                        if stage_plans[0] is not None and input_drive_cache is not None:
-                            # The cache outlives the arena buffers it was
-                            # computed in; detach it.
-                            input_drive_cache = input_drive_cache.copy()
+                        # The cache outlives the arena buffers it was
+                        # computed in; detach it.
+                        input_drive_cache = self._propagate(stage_plans[0], spikes).copy()
                     drive = input_drive_cache
                 else:
                     if spikes is not None:
@@ -678,7 +671,7 @@ class Simulator:
                     elif phased and not awake[i][t]:
                         continue  # schedule-silent: the stage cannot act at t
                     if not self.event_driven or dyn.needs_drive(t):
-                        drive = self._flush(stage, buffers[i], stage_plans[i])
+                        drive = self._flush(stage_plans[i], buffers[i])
                     else:
                         drive = None
                 spikes, count = ev.ingest(dyn.step(drive, t), pack_threshold)
@@ -689,7 +682,7 @@ class Simulator:
                 readout_buffer.add(spikes)
             if not phased:
                 if flush_readout_each_step or t == last_step:
-                    current = self._flush(readout_stage, readout_buffer, readout_plan)
+                    current = self._flush(readout_plan, readout_buffer)
                 else:
                     current = None
                 bound.readout.accumulate(current, t)
@@ -745,9 +738,7 @@ class Simulator:
             if not retire.any():
                 continue
             # Deliver any deferred readout drive before sealing anything.
-            bound.readout.absorb(
-                self._flush(readout_stage, readout_buffer, readout_plan)
-            )
+            bound.readout.absorb(self._flush(readout_plan, readout_buffer))
             if retire.all():
                 # Every sample is decided: stop the clock and let the tail
                 # seal settle any pending bias uniformly.
@@ -789,7 +780,7 @@ class Simulator:
                 readout_buffer.add(held)
         # Deliver any deferred readout drive (a truncated window's; the
         # phased policy's only flush), then seal.
-        bound.readout.absorb(self._flush(readout_stage, readout_buffer, readout_plan))
+        bound.readout.absorb(self._flush(readout_plan, readout_buffer))
         last_t = executed - 1
         # Budget truncation keeps the full-schedule seal: a still-pending
         # once_at bias IS applied, so the partial answer is exactly the

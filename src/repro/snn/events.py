@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.nn.im2col import conv_output_size, reverse_im2col_indices
 from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten
+from repro.utils.arena import FRESH
 
 try:  # scipy ships with the toolchain; gate it so the engine degrades gracefully
     from scipy import sparse as _scipy_sparse
@@ -225,29 +226,24 @@ def spike_mask(spikes: np.ndarray | SpikePacket) -> np.ndarray:
     return spikes != 0
 
 
-def merge_packets(packets: list[SpikePacket], out: np.ndarray | None = None) -> np.ndarray:
-    """Merge a deferral window's packets into one dense drive tensor.
+def merge_packets(packets: list[SpikePacket], out: np.ndarray) -> np.ndarray:
+    """Merge a deferral window's packets into ``out``, one dense drive tensor.
 
     Integration is additive, so events accumulate position-wise in packet
-    order via one flat scatter-add — directly in the packets' dtype (no
-    float64 ``bincount`` detour and round-trip; in float64 the result is
-    bit-identical to the old bincount path, measured ~3x faster at TTFS
-    merge sizes).  ``out``, when given, is the workspace arena buffer of
-    shape ``(batch, *shape)`` to merge into (it is zeroed first); without it
-    a fresh tensor is allocated.
+    order via one flat scatter-add, directly in the packets' dtype (in
+    float64 bit-identical to a float64 ``np.bincount`` over the same
+    events).  ``out`` is the C-contiguous ``(batch, *shape)`` buffer to
+    merge into, an arena buffer or a fresh one; it is zeroed first.
     """
     first = packets[0]
     features = int(np.prod(first.shape))
     shape = (first.batch,) + tuple(first.shape)
-    if out is None:
-        out = np.zeros(shape, dtype=first.weights.dtype)
-    else:
-        if out.shape != shape:
-            raise ValueError(f"merge buffer shape {out.shape} != {shape}")
-        if not out.flags.c_contiguous:
-            # The flat scatter-add below must hit the buffer, not a copy.
-            raise ValueError("merge buffer must be C-contiguous")
-        out[...] = 0
+    if out.shape != shape:
+        raise ValueError(f"merge buffer shape {out.shape} != {shape}")
+    if not out.flags.c_contiguous:
+        # The flat scatter-add below must hit the buffer, not a copy.
+        raise ValueError("merge buffer must be C-contiguous")
+    out[...] = 0
     pos = np.concatenate([p.rows * features + p.idx for p in packets])
     weights = np.concatenate([p.weights for p in packets])
     np.add.at(out.reshape(-1), pos, weights)
@@ -321,9 +317,7 @@ def _dense_apply_events(op: Dense, packet: SpikePacket) -> np.ndarray:
     return out
 
 
-def _conv2d_apply_events(
-    op: Conv2D, packet: SpikePacket, ws=None, key=None
-) -> np.ndarray:
+def _conv2d_apply_events(op: Conv2D, packet: SpikePacket, ws, key) -> np.ndarray:
     """Sparse convolution: scatter-add one weight patch per event.
 
     The cached reverse im2col map turns the packet into ``(kernel row,
@@ -335,13 +329,12 @@ def _conv2d_apply_events(
     same buffer.  Work scales with ``events x KH*KW x F`` instead of the
     full im2col volume, plus one pass over the dense output.
 
-    ``ws``/``key`` (a :class:`~repro.snn.plan.Workspace` and the stage's
-    op key) place the accumulator (its own ``"scatter_acc"`` buffer) and
-    the returned drive in the arena.  The drive is ``Conv2D.infer_ws``'s
-    ``"gemm"`` output buffer, in the same C-contiguous ``(N, F, H, W)``
-    layout: a flush takes one of the two paths, and the drive follows the
-    same ownership rule as ``StagePlan.apply_dense`` (valid until the
-    stage's next flush).  Without them both are freshly allocated.
+    The accumulator (its own ``"scatter_acc"`` buffer) and the returned
+    drive come from the arena ``ws`` under the op key ``key``.  The drive
+    is ``Conv2D.infer``'s ``"gemm"`` output buffer, in the same
+    C-contiguous ``(N, F, H, W)`` layout: a flush takes one of the two
+    paths, and the drive follows the same ownership rule as
+    ``StagePlan.apply_dense`` (valid until the stage's next flush).
     """
     c, h, w = packet.shape
     kh, kw = op.kernel_h, op.kernel_w
@@ -351,13 +344,9 @@ def _conv2d_apply_events(
     f = op.out_channels
     n = packet.batch
     dtype = np.result_type(packet.weights.dtype, op.weight.data.dtype)
-    if ws is None:
-        acc = np.zeros((n, length + 1, f), dtype=dtype)
-        out = np.empty((n, f, out_h, out_w), dtype=dtype)
-    else:
-        acc = ws.buffer((key, "scatter_acc"), (n, length + 1, f), dtype)
-        acc[...] = 0
-        out = ws.buffer((key, "gemm"), (n, f, out_h, out_w), dtype)
+    acc = ws.buffer((key, "scatter_acc"), (n, length + 1, f), dtype)
+    acc[...] = 0
+    out = ws.buffer((key, "gemm"), (n, f, out_h, out_w), dtype)
     if packet.count:
         krow_map, target_map = reverse_im2col_indices(
             c, h, w, kh, kw, op.stride, op.pad
@@ -397,7 +386,7 @@ def _conv2d_apply_events(
 
 
 def _avgpool_apply_events(
-    op: AvgPool2D, packet: SpikePacket
+    op: AvgPool2D, packet: SpikePacket, ws, key
 ) -> SpikePacket | np.ndarray:
     """Non-overlapping average pooling is a pure index remap."""
     c, h, w = packet.shape
@@ -405,7 +394,7 @@ def _avgpool_apply_events(
     if op.stride != s or h % s or w % s:
         # Overlapping/ragged pools duplicate events across windows; rare in
         # converted nets, so fall back to the dense op.
-        return op.infer(packet.to_dense())
+        return op.infer(packet.to_dense(), ws, key)
     out_h, out_w = h // s, w // s
     cidx, rem = np.divmod(packet.idx, h * w)
     yy, xx = np.divmod(rem, w)
@@ -420,39 +409,40 @@ def _avgpool_apply_events(
 
 
 def apply_op_events(
-    op, packet: SpikePacket, ws=None, key=None
+    op, packet: SpikePacket, ws=FRESH, key=None
 ) -> SpikePacket | np.ndarray:
     """Apply one linear op to a packet, staying sparse where possible.
 
-    ``ws``/``key`` route a conv's accumulator and drive into a workspace
-    arena (see ``_conv2d_apply_events``).
+    A dense result's buffers come from the arena ``ws`` (fresh arrays by
+    default) under the op key ``key``, as in ``Layer.infer``.
     """
     if isinstance(op, Flatten):
         return packet.with_shape((int(np.prod(packet.shape)),))
     if isinstance(op, AvgPool2D):
-        return _avgpool_apply_events(op, packet)
+        return _avgpool_apply_events(op, packet, ws, key)
     if isinstance(op, Dense):
         return _dense_apply_events(op, packet)
     if isinstance(op, Conv2D):
         return _conv2d_apply_events(op, packet, ws, key)
-    return op.infer(packet.to_dense())
+    return op.infer(packet.to_dense(), ws, key)
 
 
-def apply_stage_events(stage, packet: SpikePacket, ws=None, index=None) -> np.ndarray:
+def apply_stage_events(stage, packet: SpikePacket, ws=FRESH, index=None) -> np.ndarray:
     """Propagate a packet through a converted stage's op chain.
 
     Index-remap ops keep the packet sparse; the first matrix op (conv or
     dense) produces the dense synaptic drive, and any remaining ops run on
-    the dense inference path.  A compiled plan passes its workspace and the
-    stage's index so the conv kernel's buffers come from the arena (same
-    op keys ``(index, j)`` as ``StagePlan.apply_dense``).
+    the dense inference path.  Every op takes its buffers from the arena
+    ``ws`` (fresh arrays by default) under the op keys ``(index, j)`` that
+    ``StagePlan.apply_dense`` uses, so the drive follows its ownership
+    rule (valid until the stage's next flush).
     """
     out: SpikePacket | np.ndarray = packet
     for j, op in enumerate(stage.ops):
         if isinstance(out, SpikePacket):
             out = apply_op_events(op, out, ws, (index, j))
         else:
-            out = op.infer(out)
+            out = op.infer(out, ws, (index, j))
     if isinstance(out, SpikePacket):
         out = out.to_dense()
     return out

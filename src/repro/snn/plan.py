@@ -36,6 +36,7 @@ contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,14 @@ from repro.snn.engine import Simulator, _check_batch_size
 from repro.snn.results import SimulationResult
 from repro.snn.schedule import StageWindow
 
-__all__ = ["Workspace", "StagePlan", "WindowSchedule", "ExecutionPlan", "compile_plan"]
+__all__ = [
+    "Workspace",
+    "StagePlan",
+    "WindowSchedule",
+    "ExecutionPlan",
+    "stage_plans",
+    "compile_plan",
+]
 
 #: Page size, and the step between successive arena buffers' start offsets
 #: within a page: 17 cache lines, coprime with the page's 64, so 64
@@ -99,18 +107,16 @@ class Workspace:
         leading-dimension change keeps previously zeroed cells at the same
         flat offsets, so no re-zeroing is needed (the padded-border case).
         """
-        shape = tuple(int(s) for s in shape)
-        size = int(np.prod(shape))
-        dtype = np.dtype(dtype)
+        size = math.prod(shape)
         base = self._buffers.get(key)
         if base is None or base.dtype != dtype or base.size < size:
-            base = _page_staggered(size, dtype, zeroed, self.allocations)
+            base = _page_staggered(size, np.dtype(dtype), zeroed, self.allocations)
             self._buffers[key] = base
-            self._trailing[key] = shape[1:]
+            self._trailing[key] = tuple(shape[1:])
             self.allocations += 1
-        elif zeroed and self._trailing.get(key) != shape[1:]:
+        elif zeroed and self._trailing[key] != tuple(shape[1:]):
             base[...] = 0
-            self._trailing[key] = shape[1:]
+            self._trailing[key] = tuple(shape[1:])
         return base[:size].reshape(shape)
 
     def nbytes(self, key=None) -> int:
@@ -142,19 +148,15 @@ class StagePlan:
     def apply_dense(self, x: np.ndarray) -> np.ndarray:
         """The stage's dense linear ops through the workspace arena.
 
-        Bit-identical to ``ConvertedStage.apply`` (each op's ``infer_ws``
-        runs the same kernel as its ``infer``) with every intermediate
-        landing in persistent buffers; the returned drive may be a view
-        into the arena, valid until this stage's next flush.
+        ``ConvertedStage.apply`` with every op's buffers taken from this
+        plan's arena under the op keys ``(index, j)``: bit-identical, and
+        over a persistent workspace the returned drive may be a view into
+        it, valid until this stage's next flush.
         """
         out = x
         for j, op in enumerate(self.stage.ops):
-            out = op.infer_ws(out, self.workspace, (self.index, j))
+            out = op.infer(out, self.workspace, (self.index, j))
         return out
-
-    def merge_out(self, shape, dtype) -> np.ndarray:
-        """Arena buffer a deferral window's packets are merged into."""
-        return self.workspace.buffer(("merge", self.index), shape, dtype)
 
 
 @dataclass(frozen=True)
@@ -325,6 +327,30 @@ class ExecutionPlan:
         return self.simulator._run(x, y, self, timer)
 
 
+def stage_plans(sim: Simulator, workspace) -> list[StagePlan]:
+    """``sim``'s kernel bindings over the arena ``workspace``: one
+    :class:`StagePlan` per spiking stage, then the readout's, each under
+    the simulator's density rule.  The reference engine runs them over
+    fresh arrays (``repro.utils.arena.FRESH``), a compiled plan over its
+    own :class:`Workspace`."""
+    network = sim.network
+    # Each stage's input is the previous one's output.
+    stages = [*(s for s in network.stages if s.spiking), network.stages[-1]]
+    in_shapes = [tuple(network.input_shape)] + [tuple(s.out_shape) for s in stages]
+    return [
+        StagePlan(
+            index=i,
+            name=stage.name,
+            stage=stage,
+            in_shape=in_shapes[i],
+            out_shape=tuple(stage.out_shape),
+            threshold=sim.density_threshold,
+            workspace=workspace,
+        )
+        for i, stage in enumerate(stages)
+    ]
+
+
 def compile_plan(
     sim: Simulator,
     batch_size: int = 64,
@@ -335,25 +361,8 @@ def compile_plan(
     runner = sim
     if steps is not None and steps != sim._steps_arg:
         runner = sim._replica(steps=steps, monitors=sim.monitors)
-    network = runner.network
     workspace = Workspace()
-
-    # The spiking stages, then the readout: each stage's input is the
-    # previous one's output.
-    stages = [*(s for s in network.stages if s.spiking), network.stages[-1]]
-    in_shapes = [tuple(network.input_shape)] + [tuple(s.out_shape) for s in stages]
-    plans = [
-        StagePlan(
-            index=i,
-            name=stage.name,
-            stage=stage,
-            in_shape=in_shapes[i],
-            out_shape=tuple(stage.out_shape),
-            threshold=runner.density_threshold,
-            workspace=workspace,
-        )
-        for i, stage in enumerate(stages)
-    ]
+    plans = stage_plans(runner, workspace)
     return ExecutionPlan(
         simulator=runner,
         bound=runner.bound,

@@ -216,7 +216,8 @@ def conv_cases(draw):
 
 
 class TestConvInference:
-    """``Conv2D.infer`` and ``infer_ws`` run one windowed per-sample GEMM."""
+    """``Conv2D.infer`` runs one windowed per-sample GEMM, into fresh arrays
+    or an arena."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=conv_cases())
@@ -241,7 +242,7 @@ class TestConvInference:
             shape = (n, case["channels"], case["height"], case["width"])
             x = laid_out(spiky(rng, shape, dtype), case["layout"])
             want = layer.infer(x)
-            got = layer.infer_ws(x, ws, (0, 0))
+            got = layer.infer(x, ws, (0, 0))
             assert got.dtype == want.dtype == dtype
             assert got.flags.c_contiguous and want.flags.c_contiguous
             np.testing.assert_array_equal(got, want)
@@ -259,7 +260,7 @@ class TestConvInference:
         x = rng.normal(size=(2, 2, 5, 5))
         want = layer.infer(x)
         assert want.dtype == np.float64
-        np.testing.assert_array_equal(layer.infer_ws(x, Workspace(), (0, 0)), want)
+        np.testing.assert_array_equal(layer.infer(x, Workspace(), (0, 0)), want)
 
 
 class TestAvgPool2D:
@@ -320,7 +321,7 @@ class TestPoolInference:
         got = pool.infer(x)
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, pairwise_reference(contiguous))
-        np.testing.assert_array_equal(pool.infer_ws(x, Workspace(), (0, 0)), got)
+        np.testing.assert_array_equal(pool.infer(x, Workspace(), (0, 0)), got)
         mean = contiguous.reshape(n, c, out_h, 2, out_w, 2).mean(axis=(3, 5))
         if out_w > 1:
             np.testing.assert_array_equal(got, mean)
@@ -337,7 +338,7 @@ class TestPoolInference:
         x = rng.normal(size=(2, 3, hw, hw))
         want = pool.forward(x)
         np.testing.assert_array_equal(pool.infer(x), want)
-        np.testing.assert_array_equal(pool.infer_ws(x, Workspace(), (0, 0)), want)
+        np.testing.assert_array_equal(pool.infer(x, Workspace(), (0, 0)), want)
 
 
 class TestMaxPool2D:

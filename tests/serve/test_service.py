@@ -1,11 +1,11 @@
-"""InferenceService: request/batch parity, padding, caching, reconfiguration.
+"""InferenceService: request/batch parity, partial flushes, caching,
+reconfiguration.
 
-The load-bearing contract (ISSUE acceptance): predictions served through
-the micro-batching service are **bit-identical** to ``Simulator.run`` on
-every coding scheme, at every batch size from 1 up to the largest compiled
-capacity — partial batches ride zero-padded through larger plans and are
-un-padded before results return, and row independence of the simulation
-keeps the real rows' argmax untouched.
+The load-bearing contract: predictions served through the micro-batching
+service are **bit-identical** to ``Simulator.run`` on every coding scheme,
+at every batch size from 1 up to the largest compiled capacity — a partial
+batch runs unpadded on the smallest plan that holds it, as leading views
+of that plan's arenas.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ class TestServiceParity:
         self, tiny_network, tiny_data, scheme_key
     ):
         """Service predictions == Simulator.run predictions for every
-        submission size 1..capacity (partial sizes exercise padding)."""
+        submission size 1..capacity (partial sizes run below capacity)."""
         factory, steps = SCHEMES[scheme_key]
         capacity = 4
         service = InferenceService(
@@ -75,24 +75,34 @@ class TestServiceParity:
         scores = np.stack([r.scores for r in results])
         np.testing.assert_array_equal(scores, ref.scores)
 
-    def test_padding_reports_and_unpads(self, tiny_network, tiny_data):
-        """A partial flush pads to the nearest capacity and strips the
-        padding before returning results."""
+    def test_partial_flush_runs_unpadded(self, tiny_network, tiny_data, monkeypatch):
+        """A 3-sample flush runs as 3 rows on the capacity-4 plan, with no
+        padding, and its rows are bit-identical to ``Simulator.run``."""
+        from repro.snn.plan import ExecutionPlan
+
+        runs = []
+        original = ExecutionPlan.run
+
+        def recording(plan, x, *args, **kwargs):
+            runs.append((plan.batch_size, len(x)))
+            return original(plan, x, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionPlan, "run", recording)
         x = tiny_data[2][:3]
         service = InferenceService(
             Simulator(tiny_network, TTFSCoding(window=12)),
-            capacities=(8,),
-            max_wait_ms=5.0,
+            capacities=(2, 4, 8),
+            max_wait_ms=50.0,
             cache_size=0,
         )
         with service:
             results = service.predict_many(x)
             stats = service.stats()
-        assert len(results) == 3
-        assert all(r.scores.shape == (3,) for r in results)  # 3 classes
-        assert stats.padded_samples == 5  # 8 - 3
+        assert runs == [(4, 3)]
+        assert stats.padded_samples == 0
         assert stats.flush_sizes == {3: 1}
-        ref = Simulator(tiny_network, TTFSCoding(window=12)).run(x)
+        ref = Simulator(tiny_network, TTFSCoding(window=12), early_exit=False).run(x)
+        np.testing.assert_array_equal(np.stack([r.scores for r in results]), ref.scores)
         np.testing.assert_array_equal(
             np.array([r.prediction for r in results]), ref.predictions
         )

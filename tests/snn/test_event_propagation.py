@@ -20,10 +20,18 @@ from repro.coding.burst import BurstCoding
 from repro.coding.phase import PhaseCoding
 from repro.coding.rate import RateCoding
 from repro.coding.ttfs import TTFSCoding
+from repro.convert.converter import ConvertedStage
 from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten
 from repro.snn.engine import Simulator
-from repro.snn.events import SpikePacket, apply_op_events, ingest, spike_count, spike_mask
-from repro.snn.plan import Workspace
+from repro.snn.events import (
+    SpikePacket,
+    apply_op_events,
+    apply_stage_events,
+    ingest,
+    spike_count,
+    spike_mask,
+)
+from repro.snn.plan import StagePlan, Workspace
 
 SCHEMES = {
     "ttfs": (lambda: TTFSCoding(window=16), None),
@@ -285,6 +293,40 @@ class TestConvEventKernelProperty:
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
 
+class TestStageEventsArena:
+    """Every op of a stage's event path runs through the arena, including
+    the ops after its matrix op."""
+
+    def test_ops_after_the_conv_reuse_the_arena(self, rng):
+        conv = Conv2D(2, 3, 3, pad=1, rng=rng)
+        # Small integer weights and spike values: every sum is exact, so the
+        # event scatter and the GEMM agree bit for bit.
+        conv.weight.data[...] = rng.integers(-3, 4, size=conv.weight.data.shape)
+        stage = ConvertedStage(
+            ops=[conv, AvgPool2D(2)], bias=None, spiking=True, out_shape=(3, 4, 4), name="s"
+        )
+        ws = Workspace()
+        pstage = StagePlan(
+            index=0,
+            name="s",
+            stage=stage,
+            in_shape=(2, 8, 8),
+            out_shape=(3, 4, 4),
+            threshold=1.0,
+            workspace=ws,
+        )
+        dense = (rng.random((2, 2, 8, 8)) < 0.1) * 0.5
+        packet = SpikePacket.from_dense(dense)
+        first = apply_stage_events(stage, packet, ws, 0)
+        allocations = ws.allocations
+        second = apply_stage_events(stage, packet, ws, 0)
+        assert np.shares_memory(first, second)
+        assert ws.allocations == allocations
+        want = pstage.apply_dense(dense)
+        assert np.shares_memory(second, want)
+        np.testing.assert_array_equal(apply_stage_events(stage, packet, ws, 0), want)
+
+
 class TestMergePackets:
     """The deferral-window merge runs in the packets' dtype, in the arena."""
 
@@ -301,7 +343,7 @@ class TestMergePackets:
     def test_merge_stays_in_run_dtype(self, dtype):
         from repro.snn.events import merge_packets
 
-        merged = merge_packets(self._packets(dtype))
+        merged = merge_packets(self._packets(dtype), np.empty((2, 3), dtype))
         assert merged.dtype == np.dtype(dtype)
         np.testing.assert_allclose(
             merged, [[1.5, 3.0, 2.0], [0.0, 4.0, 0.0]], rtol=1e-6
@@ -329,4 +371,4 @@ class TestMergePackets:
         pos = np.concatenate([p.rows * features + p.idx for p in packets])
         w = np.concatenate([p.weights for p in packets])
         ref = np.bincount(pos, weights=w, minlength=4 * features).reshape(4, 50)
-        np.testing.assert_array_equal(merge_packets(packets), ref)
+        np.testing.assert_array_equal(merge_packets(packets, np.empty((4, 50))), ref)
