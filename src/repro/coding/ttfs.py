@@ -224,8 +224,8 @@ def _drain(
     :class:`SpikePacket` in row-major order when ``out`` is ``None`` or
     their density is at or below ``threshold`` (the receiver's event-kernel
     decision), otherwise as the dense weighted tensor written into ``out``
-    (``(batch, *shape)``, any strides — e.g. a conv's transposed GEMM
-    output) — bit-identical to the packet's ``to_dense()``.  Scratch comes
+    (``(batch, *shape)``; a strided one is filled through scratch) —
+    bit-identical to the packet's ``to_dense()``.  Scratch comes
     from the arena ``workspace`` under ``("ttfs.drain", name)`` keys every
     stage shares (a plan's buffers size themselves to the largest), so
     with a plan's workspace the dense path allocates nothing.
@@ -606,8 +606,8 @@ class TTFSInputEncoder(InputEncoder):
         """Emit every remaining pixel spike at once; returns ``(spikes, count)``.
 
         Valid whenever the receiving stage integrates the full encoder
-        window before reading its membrane (the window-phased step loop
-        checks the schedule): TTFS pixels fire at most once, so the event
+        window before reading its membrane (the engine's layered schedule
+        policy checks the schedule): TTFS pixels fire at most once, so the event
         positions are unique and the receiver's accumulation is
         bit-identical no matter how the events are grouped over steps.
         Spikes carry per-event kernel weights and all emitting pixels are
@@ -741,14 +741,13 @@ class TTFSNeurons(NeuronDynamics):
         final ``drive`` delivered here — and requires a settled bias (the
         potentials are final once ``drive`` is integrated).  On a population
         no step has touched since reset, ``drive`` is the whole integration
-        window and the one-shot bias lands with it: the layered schedule
-        policy fires a stage with this one call.  The window-phased
-        step loop uses it *instead of* the per-step firing schedule
-        when no downstream stage reads its membrane before this stage's
-        fire window ends.  Fire-once semantics make the event positions
-        unique, so the receiver's merged drive is bit-identical to per-step
-        bucket delivery; spikes carry per-event kernel weights and are
-        latched fired.
+        window and the one-shot bias lands with it: the engine's layered
+        schedule policy, its only caller, fires a stage with this one call,
+        budgeted or not (the window-phased step loop never drains).
+        Fire-once semantics make the event positions unique, so the
+        receiver's merged drive is bit-identical to per-step bucket
+        delivery; spikes carry per-event kernel weights and are latched
+        fired.
 
         They leave as one row-major packet unless ``out`` (shaped like the
         population) is given and their density exceeds ``threshold`` — the

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.snn.budget import _check_positive
+
 __all__ = ["RunConfig", "DEFAULT_BATCH_SIZE"]
 
 #: Mini-batch size used when ``batch_size`` is left unset by a batched
@@ -166,19 +168,7 @@ class RunConfig:
             object.__setattr__(self, "dtype", dtype)
 
         for name in ("deadline_ms", "budget_ms", "min_confidence"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float, np.integer, np.floating))
-                or not value > 0  # "not >" also catches NaN
-                or not np.isfinite(value)
-            ):
-                raise ValueError(
-                    f"{name} must be a positive number or None, got {value!r}"
-                )
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
 
         budgeted = self.budget_ms is not None or self.min_confidence is not None
         if budgeted and self.parallel_requested:

@@ -80,7 +80,7 @@ from repro.reliability.log import note_serial_fallback
 from repro.reliability.supervisor import RetryPolicy
 from repro.serve.batcher import MicroBatcher, ServedFuture
 from repro.serve.cache import ResultCache, input_digest
-from repro.snn.budget import Budget
+from repro.snn.budget import Budget, _check_positive
 from repro.snn.engine import Simulator, _check_batch_size
 from repro.snn.parallel import WorkerPool, resolve_workers
 from repro.snn.results import confidence_margins
@@ -453,21 +453,8 @@ class InferenceService:
             )
             self._workers = 1
         self._stats.workers = self._workers
-        for name, value in (
-            ("default_deadline_ms", default_deadline_ms),
-            ("budget_ms", budget_ms),
-        ):
-            if value is not None and not (
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and value > 0
-                and np.isfinite(value)
-            ):
-                raise ValueError(
-                    f"{name} must be a positive number or None, got {value!r}"
-                )
-        self._default_deadline_ms = default_deadline_ms
-        self._budget_ms = None if budget_ms is None else float(budget_ms)
+        self._default_deadline_ms = _check_positive("default_deadline_ms", default_deadline_ms)
+        self._budget_ms = _check_positive("budget_ms", budget_ms)
         # Flush-watchdog state (dispatch-thread writers; the epoch is read
         # by abandoned runner threads to detect they are zombies).
         self._flush_epoch = 0
@@ -521,27 +508,12 @@ class InferenceService:
         """
         if self._closed:
             raise ServiceClosed("InferenceService is closed")
+        deadline_ms = _check_positive("deadline_ms", deadline_ms)
         if deadline_ms is None:
             deadline_ms = self._default_deadline_ms
-        elif not (
-            isinstance(deadline_ms, (int, float))
-            and not isinstance(deadline_ms, bool)
-            and deadline_ms > 0
-        ):
-            raise ValueError(
-                f"deadline_ms must be a positive number, got {deadline_ms!r}"
-            )
+        budget_ms = _check_positive("budget_ms", budget_ms)
         if budget_ms is None:
             budget_ms = self._budget_ms
-        elif not (
-            isinstance(budget_ms, (int, float))
-            and not isinstance(budget_ms, bool)
-            and budget_ms > 0
-            and np.isfinite(budget_ms)
-        ):
-            raise ValueError(
-                f"budget_ms must be a positive number, got {budget_ms!r}"
-            )
         if isinstance(priority, bool) or not isinstance(priority, (int, np.integer)):
             raise ValueError(f"priority must be an int, got {priority!r}")
         x = np.asarray(x)
@@ -562,7 +534,7 @@ class InferenceService:
         if deadline_ms is not None:
             future.deadline_at = time.monotonic() + deadline_ms / 1000.0
         if budget_ms is not None:
-            future.budget_ms = float(budget_ms)
+            future.budget_ms = budget_ms
         # The coding key and the sample digest serve both the cache lookup
         # and the dedup registration; compute each at most once per submit.
         key = digest = None

@@ -51,6 +51,14 @@ __all__ = ["Budget", "BudgetTimer"]
 def _check_positive(
     name: str, value: object, integral: bool = False
 ) -> float | int | None:
+    """``value`` as a positive, finite float (with ``integral``, an int
+    >= 1), or ``None`` when unset.
+
+    The one rule for every budget, deadline and confidence knob
+    (``Budget``, ``RunConfig``, ``InferenceService`` and its ``submit``):
+    Python and numpy scalars pass; bools, NaN, infinities and anything
+    else raise ``ValueError`` naming ``name``.
+    """
     if value is None:
         return None
     if isinstance(value, bool):
@@ -136,11 +144,12 @@ class BudgetTimer:
     def binds(self) -> bool:
         """Whether this timer can truncate the window at all.
 
-        A binding timer does not turn the compiled plan's bulk drains off:
-        a run that truncates at step ``t`` cuts each drain back to the
-        spikes scheduled before ``t`` (docs/DESIGN.md §10).  Only a stage
-        whose kernel table is not strictly decreasing fires step by step
-        under it, since its spike weights do not name their steps.
+        A binding timer keeps a compiled baseline plan on its layered
+        policy: the run reads the timer once per step up to each drain,
+        and one that truncates at step ``t`` cuts each drain back to the
+        spikes scheduled before ``t`` (docs/DESIGN.md §10).  If any kernel
+        table is not strictly decreasing, its spike weights do not name
+        their steps, so the whole run steps window-phased instead.
         """
         return self.budget.max_steps is not None or self._deadline is not None
 

@@ -41,12 +41,13 @@ One step loop, three schedule policies (docs/DESIGN.md §10):
 :meth:`Simulator._run` is the only step loop, and the *per-step* policy
 above is the reference.  A compiled plan of a window-scheduled scheme
 (TTFS, reverse) runs the same loop under the *window-phased* policy: it
-visits only the stages whose windows let them act, drains fire-once
-sources in bulk and stops at the last fire window's end.  Where every
-source drains and no budget binds (TTFS baseline, Fig. 3a), the
-*layered* policy visits no step at all: each stage's input ends where
-its fire window opens, so the run is a quantized forward pass — per
-stage one propagate of the upstream drain and one drain of its own.
+visits only the stages whose windows let them act and stops at the last
+fire window's end.  Where every source can drain (TTFS baseline, Fig.
+3a), the *layered* policy visits no step at all: each stage's input ends
+where its fire window opens, so the run is a quantized forward pass — per
+stage one propagate of the upstream drain and one drain of its own.  A
+budget keeps it layered when every drain can be cut back; the
+window-phased loop never drains.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _check_inputs(x: np.ndarray, y: np.ndarray | None) -> None:
         raise ValueError(f"labels length {len(y)} != number of samples {len(x)}")
 
 
-def _drain_target(receiver, inbox, shape, dtype, consumed=None) -> dict:
+def _drain_target(receiver, shape, dtype, consumed=None) -> dict:
     """Keyword arguments of a bulk drain towards ``receiver`` (a StagePlan).
 
     The drain goes dense exactly when ``receiver.threshold`` would send its
@@ -91,15 +92,23 @@ def _drain_target(receiver, inbox, shape, dtype, consumed=None) -> dict:
     writing into ``consumed`` — the draining stage's drive, integrated and
     dead until that stage's next flush — or, without one, into the
     receiver's own arena buffer, which lives until the receiver flushes it.
-    A receiver with input already pending keeps packets: its buffer merges
-    them itself.
     """
-    if not inbox.empty:
-        return {}
     workspace = receiver.workspace
     if consumed is None:
         consumed = workspace.buffer(("drain", receiver.index), shape, dtype)
     return {"out": consumed, "threshold": receiver.threshold, "workspace": workspace}
+
+
+def _advance(timer: BudgetTimer | None, done: int, until: int) -> tuple[int, bool]:
+    """Steps executed on the way from ``done`` to ``until``, and whether a
+    binding ``timer`` truncated the run first.  The timer is read once
+    before each step, as the step loop reads it; without one binding, the
+    run jumps straight to ``until``."""
+    if timer is not None and timer.binds:
+        for step in range(done, until):
+            if timer.expired(step):
+                return step, True
+    return until, False
 
 
 class _DriveBuffer:
@@ -462,13 +471,15 @@ class Simulator:
         ``min_confidence`` and monitors — or *window-phased*, taken when
         ``plan.schedule`` is set, no monitor is attached and the budget
         has no ``min_confidence``; its results are bit-identical to the
-        per-step policy run with ``early_exit=False``.  Its *layered* case
-        — every source drains and no timer binds — makes each drain at
-        the step the phased loop would and visits no step.  A bulk drain emits
-        spikes scheduled for future steps, so a truncated window cuts them
-        back (``cut_drain``): from its source's spike count and, for the
-        last stage's drain, held aside until the loop ends, from the
-        readout's input.
+        per-step policy run with ``early_exit=False``.  Drain or step is
+        one decision per run: its *layered* case — the schedule lets every
+        source drain, and under a binding timer every kernel table can be
+        cut back — makes one drain per source and visits no step; the
+        window-phased loop never drains.  A binding timer is still read
+        once per step up to each drain.  A drain emits spikes scheduled for
+        later steps, so a truncated window cuts them back (``cut_drain``):
+        from its source's spike count and, for the last stage's drain,
+        from the readout's input.
         """
         if x.shape[1:] != tuple(self.network.input_shape):
             raise ValueError(
@@ -527,14 +538,17 @@ class Simulator:
         if plan is not None and not self.monitors and min_conf is None:
             sched = plan.schedule
         phased = sched is not None
-        # Layered, a case of window-phased: every source drains and nothing
-        # can stop the window early, so each stage integrates one drain and
-        # fires once — a quantized forward pass with no step visits.
+        # Layered, a case of window-phased: every source drains, so each
+        # stage integrates one drain and fires once — a quantized forward
+        # pass with no step visits.  A binding timer needs every drain to
+        # be cuttable; otherwise the window-phased loop steps every source.
         layered = (
             phased
-            and not budget_active
-            and sched.encoder_drains
-            and all(sched.stage_drains)
+            and sched.layered
+            and all(
+                source.can_drain(cut=budget_active)
+                for source in (bound.encoder, *bound.dynamics)
+            )
         )
         # The readout potential is only read at the end — unless a monitor
         # observes it per step (e.g. accuracy-vs-time curves) or confidence
@@ -584,60 +598,64 @@ class Simulator:
         if phased:
             steps = sched.horizon
             enc_steps = sched.enc_end
-            awake = list(sched.awake)
-            silent = (False,) * steps
+            awake = sched.awake
             upstream_end = sched.upstream_end
             bias_step = sched.bias_step
-            last = len(awake) - 1
-            # receivers[s] / inboxes[s]: the plan and drive buffer of source
-            # s's receiver (s = 0 the encoder, s = i + 1 spiking stage i).
+        if layered:
+            # Each stage's input ends where its fire window opens: one
+            # propagate-and-fire per stage, whose drain also lands the
+            # stage's bias.  A binding timer is read once per step, as the
+            # step loop would read it, and a truncated run cuts every drain
+            # back to the steps it executed.
             receivers = [*stage_plans, readout_plan]
-            inboxes = [*buffers, readout_buffer]
             # (source, counts key, spikes) of every drain a truncation cuts
-            # back; the last stage's drain reaches the readout after the loop.
+            # back; the last stage's drain reaches the readout at the end.
             drained = []
             held = None
-
-            def drain_stage(i: int, t: int):
-                """Drain stage ``i`` after step ``t``: deliver the last of its
-                drive, then emit the rest of its fire window at once (the
-                potentials are final) towards its receiver."""
-                stage = spiking_stages[i]
+            packet, count = bound.encoder.drain_events(
+                **_drain_target(receivers[0], x.shape, compute_dtype)
+            )
+            if bound.counts_input_spikes:
+                counts["input"] += float(count)
+                drained.append((bound.encoder, "input", packet))
+            if packet is not None:
+                buffers[0].add(packet)
+            for i, stage in enumerate(spiking_stages):
+                # Stage i drains after step upstream_end[i] - 1.
+                executed, truncated = _advance(timer, executed, upstream_end[i])
+                if truncated:
+                    break
                 drive = self._flush(stage_plans[i], buffers[i])
                 target = _drain_target(
-                    receivers[i + 1],
-                    inboxes[i + 1],
-                    (n, *stage.out_shape),
-                    compute_dtype,
-                    drive,
+                    receivers[i + 1], (n, *stage.out_shape), compute_dtype, drive
                 )
-                packet, count = bound.dynamics[i].drain_fire_events(t, drive, **target)
+                packet, count = bound.dynamics[i].drain_fire_events(
+                    upstream_end[i] - 1, drive, **target
+                )
                 counts[stage.name] += float(count)
-                if i != last:
+                if i + 1 == len(spiking_stages):
+                    held = packet
+                else:
                     drained.append((bound.dynamics[i], stage.name, packet))
                     if packet is not None:
-                        inboxes[i + 1].add(packet)
-                return packet
-
-            if sched.encoder_drains and bound.encoder.can_drain(cut=budget_active):
-                packet, count = bound.encoder.drain_events(
-                    **_drain_target(receivers[0], buffers[0], x.shape, compute_dtype)
-                )
-                if bound.counts_input_spikes:
-                    counts["input"] += float(count)
-                    drained.append((bound.encoder, "input", packet))
-                if packet is not None:
-                    buffers[0].add(packet)
-                enc_steps = 0  # every pixel spike is already in flight
-            if layered:
-                # Each stage's input ends where its fire window opens: one
-                # propagate-and-fire per stage, whose drain also lands the
-                # stage's bias, then the readout's bias.
-                for i in range(last + 1):
-                    held = drain_stage(i, upstream_end[i] - 1)
-                if bias_step is not None:
-                    bound.readout.accumulate(None, bias_step)
-                executed = steps
+                        buffers[i + 1].add(packet)
+            if not truncated:
+                executed, truncated = _advance(timer, executed, steps)
+            if bias_step is not None and executed > bias_step:
+                bound.readout.accumulate(None, bias_step)
+            if truncated:
+                for source, name, spikes in drained:
+                    counts[name] -= source.cut_drain(spikes, executed)[1]
+                if held is not None:
+                    held, removed = bound.dynamics[-1].cut_drain(held, executed)
+                    counts[stage_names[-1]] -= removed
+                    # A cut dense tensor is re-measured, so the readout takes
+                    # the kernel its remaining density selects, as per-step
+                    # input would.
+                    held, _ = ev.ingest(held, readout_plan.threshold)
+            if held is not None:
+                readout_buffer.add(held)
+            steps = executed  # the step loop has nothing left to visit
 
         for t in range(executed, steps):
             if budget_active and timer.expired(executed):
@@ -697,16 +715,9 @@ class Simulator:
                 for i, dyn in enumerate(bound.dynamics):
                     if exhausted_flags[i] or t < upstream_end[i] - 1:
                         continue
-                    # No drive can arrive after this step.  A binding budget
-                    # drains only tables a truncation can cut back.
-                    if sched.stage_drains[i] and dyn.can_drain(cut=budget_active):
-                        packet = drain_stage(i, t)
-                        if i == last:
-                            held = packet
-                        exhausted_flags[i] = True
-                        awake[i] = silent  # a drained stage never acts again
-                    elif buffers[i].empty:
-                        # Switch to the closed-form per-step firing schedule.
+                    if buffers[i].empty:
+                        # No drive can arrive after this step: switch to the
+                        # closed-form per-step firing schedule.
                         exhausted_flags[i] = True
                         dyn.note_input_exhausted(t)
                 continue
@@ -765,19 +776,6 @@ class Simulator:
             if input_drive_cache is not None:
                 input_drive_cache = input_drive_cache[keep]
 
-        if phased:
-            if truncated:
-                for source, name, spikes in drained:
-                    counts[name] -= source.cut_drain(spikes, executed)[1]
-                if held is not None:
-                    held, removed = bound.dynamics[last].cut_drain(held, executed)
-                    counts[stage_names[last]] -= removed
-                    # A cut dense tensor is re-measured, so the readout takes
-                    # the kernel its remaining density selects, as per-step
-                    # input would.
-                    held, _ = ev.ingest(held, readout_plan.threshold)
-            if held is not None:
-                readout_buffer.add(held)
         # Deliver any deferred readout drive (a truncated window's; the
         # phased policy's only flush), then seal.
         bound.readout.absorb(self._flush(readout_plan, readout_buffer))

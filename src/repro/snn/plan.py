@@ -22,9 +22,11 @@ everything the per-step loop otherwise re-decides:
   loop (``Simulator._run``) runs such a plan under its *window-phased*
   policy: it touches only the stages that can act at each step, calls
   ``note_input_exhausted`` at the schedule-derived step (enabling scheduled
-  TTFS firing without the per-step quiescence chain), drains fire-once
-  sources in bulk, and stops at the end of the last fire window — trimming
-  over-provisioned budgets without running the quiescence machinery.
+  TTFS firing without the per-step quiescence chain), and stops at the end
+  of the last fire window — trimming over-provisioned budgets without
+  running the quiescence machinery.  Where every source can drain (the
+  TTFS baseline schedule), its *layered* case drains each source in bulk
+  and visits no step.
 
 Parity contract: a plan makes exactly the reference engine's kernel
 decisions and is **bit-identical** — same predictions, per-stage spike
@@ -44,7 +46,6 @@ import numpy as np
 from repro.snn.budget import Budget, BudgetTimer
 from repro.snn.engine import Simulator, _check_batch_size
 from repro.snn.results import SimulationResult
-from repro.snn.schedule import StageWindow
 
 __all__ = [
     "Workspace",
@@ -169,21 +170,19 @@ class WindowSchedule:
     loop stops (the end of the last fire window); ``awake[i][t]`` says
     whether stage ``i`` can act at step ``t`` with no input arriving (its
     integration start and fire phase); ``bias_step`` is the readout's
-    one-shot bias step.  ``encoder_drains`` / ``stage_drains[i]`` are the
-    structural half of the bulk-drain test: the source can drain, and its
-    receiver does not read its membrane before the source's window ends.
-    Whether the kernel table allows a drain under a binding budget is
-    checked per run.
+    one-shot bias step.  ``layered`` is the structural half of the layered
+    policy's test: every source can drain, and no receiver reads its
+    membrane before its source's window ends (the TTFS baseline schedule,
+    Fig. 3a).  Whether every kernel table allows a drain under a binding
+    budget is checked per run.
     """
 
-    windows: tuple[StageWindow, ...]
     enc_end: int
     upstream_end: tuple[int, ...]
     horizon: int
     awake: tuple[tuple[bool, ...], ...]
     bias_step: int | None
-    encoder_drains: bool
-    stage_drains: tuple[bool, ...]
+    layered: bool
 
 
 def _window_schedule(runner: Simulator) -> WindowSchedule | None:
@@ -199,10 +198,10 @@ def _window_schedule(runner: Simulator) -> WindowSchedule | None:
     ):
         return None
     horizon = min(bound.total_steps, max(enc_end, windows[-1].fire_end))
+    upstream_end = (enc_end, *(w.fire_end for w in windows[:-1]))
     return WindowSchedule(
-        windows=tuple(windows),
         enc_end=enc_end,
-        upstream_end=(enc_end, *(w.fire_end for w in windows[:-1])),
+        upstream_end=upstream_end,
         horizon=horizon,
         awake=tuple(
             tuple(
@@ -212,12 +211,11 @@ def _window_schedule(runner: Simulator) -> WindowSchedule | None:
             for w in windows
         ),
         bias_step=bound.readout.bias_time if bound.readout.bias_policy == "once_at" else None,
-        encoder_drains=windows[0].fire_start >= enc_end and hasattr(bound.encoder, "can_drain"),
-        stage_drains=tuple(
-            (i + 1 == len(windows) or windows[i + 1].fire_start >= w.fire_end)
-            and hasattr(dyn, "can_drain")
-            for i, (w, dyn) in enumerate(zip(windows, bound.dynamics))
-        ),
+        layered=all(
+            hasattr(source, "can_drain")
+            for source in (bound.encoder, *bound.dynamics)
+        )
+        and all(w.fire_start >= end for w, end in zip(windows, upstream_end)),
     )
 
 

@@ -196,6 +196,21 @@ class TestRoutingAndErrors:
         assert [status for status, _ in cases] == [404, 405, 405, 400, 400]
         assert all("error" in payload for _, payload in cases)
 
+    def test_infinite_deadline_is_400(self, tiny_network, tiny_data):
+        """``json.loads`` reads ``Infinity`` as a float; the service's
+        positive-and-finite rule turns it into a 400."""
+        with tiny_service(tiny_network) as service:
+
+            async def run():
+                async with serving(service) as server:
+                    body = {"x": tiny_data[2][0].tolist(), "deadline_ms": float("inf")}
+                    status, _, payload = await fetch(server.port, "POST", "/predict", body=body)
+                    return status, json.loads(payload)
+
+            status, payload = asyncio.run(run())
+        assert status == 400
+        assert "deadline_ms" in payload["error"]
+
     def test_invalid_json_body_is_400(self, tiny_network):
         with tiny_service(tiny_network) as service:
 

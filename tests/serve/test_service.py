@@ -322,6 +322,24 @@ class TestValidation:
                 Simulator(tiny_network, TTFSCoding(window=12)), workers=True
             )
 
+    @pytest.mark.parametrize("name", ["deadline_ms", "budget_ms"])
+    def test_submit_rejects_infinite_ms(self, tiny_network, tiny_data, name):
+        """``submit`` takes the constructor's rule: positive and finite."""
+        with InferenceService(Simulator(tiny_network, TTFSCoding(window=12))) as service:
+            with pytest.raises(ValueError, match=name):
+                service.submit(tiny_data[2][0], **{name: float("inf")})
+
+    @pytest.mark.parametrize("value", [np.int64(60_000), np.float32(60_000.0)])
+    def test_submit_accepts_numpy_scalar_ms(self, tiny_network, tiny_data, value):
+        """Numpy scalars pass ``submit`` as they pass ``RunConfig``."""
+        x = tiny_data[2][0]
+        with InferenceService(
+            Simulator(tiny_network, TTFSCoding(window=12)), cache_size=0
+        ) as service:
+            ref = service.predict(x)
+            got = service.submit(x, deadline_ms=value, budget_ms=value).result(30.0)
+        np.testing.assert_array_equal(got.scores, ref.scores)
+
     @pytest.mark.parametrize(
         "kwargs, name",
         [

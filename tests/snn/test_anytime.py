@@ -241,12 +241,9 @@ class TestPlanTruncation:
             assert got.budget_exhausted and got.steps == k
             _assert_same_anytime(got, plan.run(x, budget=Budget(max_steps=k)))
 
-    @pytest.mark.parametrize("early_firing", [False, True], ids=["baseline", "early"])
-    def test_non_binding_ms_budget_keeps_every_drain(
-        self, tiny_network, tiny_data, monkeypatch, early_firing
-    ):
-        """A budget that can bind but does not must run the same bulk
-        drains as no budget at all."""
+    @pytest.fixture()
+    def drains(self, monkeypatch):
+        """Call counts of the two bulk drains."""
         calls = {"drain_fire_events": 0, "drain_events": 0}
         for cls, name in (
             (TTFSNeurons, "drain_fire_events"),
@@ -259,16 +256,36 @@ class TestPlanTruncation:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("early_firing", [False], ids=["baseline"])
+    def test_non_binding_ms_budget_keeps_every_drain(
+        self, tiny_network, tiny_data, drains, early_firing
+    ):
+        """A budget that can bind but does not must run the same bulk
+        drains as no budget at all."""
         x = tiny_data[2][:4]
         plan = Simulator(
             tiny_network, TTFSCoding(window=12, early_firing=early_firing)
         ).compile(batch_size=4)
         ref = plan.run(x)
-        unbudgeted = dict(calls)
+        unbudgeted = dict(drains)
         assert unbudgeted["drain_fire_events"] > 0
         got = plan.run(x, budget=Budget(ms=60_000.0))
         assert not got.budget_exhausted
-        assert {k: calls[k] - unbudgeted[k] for k in calls} == unbudgeted
+        assert {k: drains[k] - unbudgeted[k] for k in drains} == unbudgeted
+        np.testing.assert_array_equal(got.scores, ref.scores)
+
+    def test_early_firing_never_drains(self, tiny_network, tiny_data, drains):
+        """Early firing's stages read their membranes while upstream still
+        fires, so its runs step every source, with or without a budget."""
+        x = tiny_data[2][:4]
+        plan = Simulator(tiny_network, TTFSCoding(window=12, early_firing=True)).compile(
+            batch_size=4
+        )
+        ref = plan.run(x)
+        got = plan.run(x, budget=Budget(ms=60_000.0))
+        assert drains == {"drain_fire_events": 0, "drain_events": 0}
         np.testing.assert_array_equal(got.scores, ref.scores)
 
 

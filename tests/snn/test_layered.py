@@ -13,8 +13,9 @@ The oracle below computes that pass with the log-based closed form: no
 rule for each stage's linear ops (the event-scatter kernel at or below the
 density threshold, the GEMM above it), since the two kernels sum in
 different orders.  The reference engine and the compiled plan, which runs
-such networks under the *layered* schedule policy, must both equal it bit
-for bit.  The policy tests pin which schedule policy a plan run takes.
+such networks under the *layered* schedule policy, budgeted or not, must
+both equal it bit for bit.  The policy tests pin which schedule policy a
+plan run takes.
 """
 
 from dataclasses import dataclass
@@ -163,15 +164,25 @@ class TestPolicySelection:
         assert calls["apply_dense"] == stages + 1
 
     @pytest.mark.parametrize(
-        "budget, coding",
-        [
-            (Budget(ms=1e7), {}),
-            (Budget(max_steps=20), {}),
-            (None, {"early_firing": True}),
-        ],
-        ids=["ms", "binding-max-steps", "early-firing"],
+        "budget",
+        [Budget(ms=1e7), Budget(max_steps=40)],
+        ids=["ms", "binding-max-steps"],
     )
-    def test_other_runs_stay_phased(self, tiny_network, tiny_data, calls, budget, coding):
-        """Binding budgets and early firing keep stepping (window-phased)."""
-        dense_plan(tiny_network, 4, **coding).run(tiny_data[2][:4], budget=budget)
+    def test_binding_budgets_run_layered(self, tiny_network, tiny_data, calls, budget):
+        """A budget that can bind reads its timer step by step, yet every
+        stage still fires with one drain and no step visits.  ``max_steps=40``
+        stops inside the last fire window (steps 32–47), after every drain,
+        so the last stage's drain is cut back."""
+        plan = dense_plan(tiny_network, 4)
+        result = plan.run(tiny_data[2][:4], budget=budget)
+        assert result.budget_exhausted == (budget.max_steps is not None)
+        assert calls.get("fire", 0) == 0 and calls.get("step", 0) == 0
+        assert calls["drain_events"] == 1
+        assert calls["drain_fire_events"] == len(plan.stage_plans)
+
+    @pytest.mark.parametrize("coding", [{"early_firing": True}], ids=["early-firing"])
+    def test_other_runs_stay_phased(self, tiny_network, tiny_data, calls, coding):
+        """Early firing keeps stepping (window-phased) and never drains."""
+        dense_plan(tiny_network, 4, **coding).run(tiny_data[2][:4])
         assert calls["step"] > 0 and calls["fire"] > 0
+        assert "drain_fire_events" not in calls and "drain_events" not in calls
