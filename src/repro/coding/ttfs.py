@@ -32,7 +32,10 @@ its bucket, making fire-phase cost O(spikes emitted) instead of
 O(population x steps).  The encoder never compares per step.  Firing
 decisions are identical either way; every population also reports
 per-sample quiescence (``row_quiescent``), which powers early exit and
-batch retirement.
+batch retirement.  A stage's per-step comparison is one pass: a unit it
+fires is parked at ``-inf``.  Under early firing a conv stage's fire
+phase runs channels-last (:class:`TTFSNeurons`): the sparse conv adds
+each step's drive straight into the membrane.
 
 Every spike time comes from one closed-form routine (:class:`_SpikeTimes`:
 a log-linear estimate and one fix-up against the table, bit-identical to
@@ -65,6 +68,7 @@ from repro.snn.neurons import (
     NeuronDynamics,
     ReadoutAccumulator,
     arena_compact,
+    arena_view,
     arena_zeros,
 )
 from repro.snn.schedule import PhasedSchedule, StageWindow, build_phased_schedule
@@ -317,13 +321,14 @@ class _FiringSchedule:
 
     Once a population's potentials are final (an encoder's pixels at reset,
     a stage once the engine exhausts its input), the first offset ``dt``
-    with ``value >= weights[dt]`` is each unit's spike time.  Units are
-    counting-sorted by that offset — stable and on the narrowest unsigned
-    keys that hold every offset (16 bits or fewer below 65,536 steps), so
-    numpy radix-sorts, and the row-major order survives within each bucket
-    (the nondecreasing row order SpikePacket kernels rely on).  Each step
-    then just slices its bucket: O(spikes emitted) per step instead of
-    O(population).  The per-event kernel weights are materialised once at
+    with ``value >= weights[dt]`` is each unit's spike time.  The live
+    units (``rows``, ``idx`` and their potentials ``values``, rows
+    nondecreasing) are counting-sorted by that offset — stable and on the
+    narrowest unsigned keys that hold every offset (16 bits or fewer below
+    65,536 steps), so numpy radix-sorts, and the units' order survives
+    within each bucket (the nondecreasing row order SpikePacket kernels
+    rely on).  Each step then just slices its bucket: O(spikes emitted)
+    per step instead of O(population).  The per-event kernel weights are materialised once at
     build time, so a bucket emission is three array *views* — the steady
     state allocates nothing per step.  Firing decisions are identical to
     the per-step threshold comparison.
@@ -333,15 +338,16 @@ class _FiringSchedule:
 
     def __init__(
         self,
-        flat: np.ndarray,
-        alive: np.ndarray,
+        rows: np.ndarray,
+        idx: np.ndarray,
+        values: np.ndarray,
+        batch: int,
         times: _SpikeTimes,
         dt_from: int,
     ):
-        rows, idx = np.divmod(np.flatnonzero(alive), alive.shape[1])
         weights = times.weights
         key = np.min_scalar_type(len(weights))
-        fire_dt = times.offsets(flat[rows, idx], dt_from).astype(key, copy=False)
+        fire_dt = times.offsets(values, dt_from).astype(key, copy=False)
         order = np.argsort(fire_dt, kind="stable")
         fire_dt = fire_dt[order]
         self.rows = rows[order]
@@ -353,7 +359,7 @@ class _FiringSchedule:
         self.bounds = np.searchsorted(
             fire_dt, np.arange(len(weights) + 1, dtype=np.int64)
         )
-        row_last = np.full(flat.shape[0], -1, dtype=np.int64)
+        row_last = np.full(batch, -1, dtype=np.int64)
         # fire_dt is sorted ascending, so per row the last scatter wins with
         # exactly its maximum offset — far cheaper than np.maximum.at.
         row_last[self.rows] = fire_dt
@@ -400,13 +406,29 @@ class _FireOnce:
     underflows to 0.  Once the potentials are final, :meth:`schedule` turns
     them into a :class:`_FiringSchedule` and every later step is a bucket
     slice; :meth:`drain` instead emits the whole rest at once.
+
+    A ``parked`` population (a stage's: the values are its own membrane)
+    sets every unit it fires by comparison to ``-inf``, so its checks read
+    no fired mask; the ``fired`` mask is still latched for the drains,
+    compaction and diagnostics.  Scheduled and drained spikes are latched
+    without parking: neither population is compared again.  The encoder's
+    pixels are the caller's input and are never written.
     """
 
     __slots__ = (
-        "weights", "floor", "times", "start", "fired", "sched", "drained", "shape", "_base"
+        "weights", "floor", "times", "start", "parked", "fired", "sched", "drained",
+        "shape", "_base",
     )
 
-    def __init__(self, kernel: ExpKernel, window: int, start: int, theta0: float, dtype):
+    def __init__(
+        self,
+        kernel: ExpKernel,
+        window: int,
+        start: int,
+        theta0: float,
+        dtype,
+        parked: bool = False,
+    ):
         if theta0 <= 0:
             raise ValueError(f"theta0 must be positive, got {theta0}")
         weights = tabulate_kernel(kernel, window, theta0, dtype)
@@ -418,6 +440,7 @@ class _FireOnce:
         self.floor = max(weights[-1], _SMALLEST_POSITIVE)
         self.times = _SpikeTimes(weights)
         self.start = start
+        self.parked = parked
         self.fired: np.ndarray | None = None
         self.sched: _FiringSchedule | None = None
         self.drained = False
@@ -440,18 +463,45 @@ class _FireOnce:
         n = values.shape[0]
         return values.reshape(n, -1), self.fired.reshape(n, -1)
 
-    def schedule(self, values: np.ndarray, t_from: int) -> None:
+    def _live(self, values: np.ndarray, threshold) -> np.ndarray:
+        """Mask over ``values`` of the unfired units at or above
+        ``threshold``: one ``>=`` pass where fired units are parked at
+        ``-inf``, else (the encoder) one more pass over the fired mask."""
+        mask = values >= threshold
+        if not self.parked:
+            np.greater(mask, self.fired, out=mask)
+        return mask
+
+    def _units(self, hits: np.ndarray, values: np.ndarray, length: int):
+        """``(rows, idx)`` of flat ``hits`` into ``values``; with ``length``
+        (``L``) a hit at ``(b, l, f)`` of channels-last storage is unit
+        ``f*L + l``."""
+        rows, idx = np.divmod(hits, values.size // values.shape[0])
+        if length:
+            # In place, like schedule's hits: fewer hit-sized temporaries.
+            position, idx = np.divmod(idx, values.shape[2])
+            idx *= length
+            idx += position
+        return rows, idx
+
+    def schedule(self, values: np.ndarray, t_from: int, length: int = 0) -> None:
         """Turn final potentials into the firing schedule of steps ``t_from``
         on: unfired units below the floor never fire and are dropped, the
-        rest get closed-form spike offsets."""
-        flat, fired = self._flat(values)
+        rest get closed-form spike offsets.  ``values`` and ``length`` are
+        as in :meth:`fire`; channels-last storage is read in place, so its
+        buckets list a row's units in ``(position, channel)`` order."""
         dt_from = max(t_from - self.start, 0)
         if dt_from >= len(self.weights):
-            alive = np.zeros_like(fired)
+            hits = np.zeros(0, dtype=np.intp)
             dt_from = 0  # no offsets left; the empty schedule is inert
         else:
-            alive = (~fired) & (flat >= self.floor)
-        self.sched = _FiringSchedule(flat, alive, self.times, dt_from)
+            hits = np.flatnonzero(self._live(values, self.floor))
+        potentials = np.take(values, hits)
+        rows, idx = self._units(hits, values, length)
+        del hits  # the build below holds several more hit-sized arrays
+        self.sched = _FiringSchedule(
+            rows, idx, potentials, values.shape[0], self.times, dt_from
+        )
 
     def emit(self, t: int) -> SpikePacket | None:
         """The scheduled spikes of step ``t``, latched fired: a bucket slice —
@@ -473,20 +523,43 @@ class _FireOnce:
             unique=True,
         )
 
-    def fire(self, values: np.ndarray, t: int) -> SpikePacket | None:
+    def fire(self, values: np.ndarray, t: int, length: int = 0) -> SpikePacket | None:
         """The spikes of step ``t``: from the schedule once there is one,
-        else the units at or above this step's threshold and the floor."""
+        else the units at or above this step's threshold and the floor.
+
+        On a parked population ``values`` is its own C-contiguous
+        membrane with every fired unit at ``-inf``, so the check is one
+        ``>=`` pass and one ``flatnonzero``; the units it fires are parked
+        and latched fired in turn.  With ``length`` (``L``), ``values`` is a conv
+        population's channels-last ``(B, L+1, F)`` storage, whose row ``L``
+        is a ``-inf`` sink: a hit at ``(b, l, f)`` is unit ``f*L + l``, and
+        the packet lists a row's events in ``(position, channel)`` order
+        (the SpikePacket order contract allows any within-row order).
+        """
         if self.sched is not None or self.drained:
             return self.emit(t)
         dt = t - self.start
         if not 0 <= dt < len(self.weights):
             return None
         weight = self.weights[dt]
-        can_fire = (~self.fired) & (values >= max(weight, self.floor))
-        if not can_fire.any():
+        hits = np.flatnonzero(self._live(values, max(weight, self.floor)))
+        if hits.shape[0] == 0:
             return None
-        self.fired |= can_fire
-        return SpikePacket.from_mask(can_fire, float(weight), dtype=self.weights.dtype)
+        if self.parked:
+            if not values.flags.c_contiguous:
+                raise ValueError("a parked population's values must be C-contiguous")
+            values.reshape(-1)[hits] = -np.inf
+        rows, idx = self._units(hits, values, length)
+        n = values.shape[0]
+        self.fired.reshape(n, -1)[rows, idx] = True
+        return SpikePacket(
+            rows=rows,
+            idx=idx,
+            weights=np.full(hits.shape[0], weight, dtype=self.weights.dtype),
+            batch=n,
+            shape=self.shape,
+            unique=True,
+        )
 
     def drain(
         self,
@@ -521,18 +594,19 @@ class _FireOnce:
 
     def quiescent(self, values: np.ndarray | None, t: int) -> np.ndarray | None:
         """Per row, whether nothing fires after step ``t``: the window is
-        over, the row's last bucket passed, or every unit fired or sits below
-        the floor (``values`` must be final)."""
+        over, the population drained (a drain fires every unit at or above
+        the floor), the row's last bucket passed, or every unit fired or
+        sits below the floor (``values`` must be final, and as in
+        :meth:`fire`)."""
         if self.fired is None:
             return None
         n = self.fired.shape[0]
         next_dt = t + 1 - self.start
-        if next_dt >= len(self.weights):
+        if next_dt >= len(self.weights) or self.drained:
             return np.ones(n, dtype=bool)
         if self.sched is not None:
             return self.sched.rows_done(max(next_dt, 0))
-        flat, fired = self._flat(values)
-        return ~((~fired) & (flat >= self.floor)).any(axis=1)
+        return ~self._live(values, self.floor).reshape(n, -1).any(axis=1)
 
     def compact(self, keep: np.ndarray) -> None:
         if self.fired is None:
@@ -644,11 +718,26 @@ class TTFSNeurons(NeuronDynamics):
     is ``theta0 * kernel(dt)``; neurons at or above it (and above zero)
     emit one spike of weight ``kernel(dt) * theta0`` and are latched fired.
     The membrane is the fire-once population (:class:`_FireOnce`) opening
-    at ``fire_start``.  Spikes leave as
+    at ``fire_start``; a fired unit's potential is parked at ``-inf``.
+    Spikes leave as
     :class:`~repro.snn.events.SpikePacket` event lists; once the engine
     reports the stage's input exhausted and the bias has landed, the fire
     phase switches from per-step comparisons to the precomputed firing
     schedule (see module docstring), with identical firing decisions.
+
+    Channels-last (CL) mode: a conv population's membrane is the drive
+    target of the event kernel (:meth:`drive_target`).  On the first such
+    flush of a run the membrane moves, with one transposing copy, into
+    channels-last storage ``(B, L+1, F)``, the sparse conv's accumulator
+    layout with its sink row ``L`` parked at ``-inf``.  Each later sparse
+    drive is added straight into it, and the fire check runs over it.
+    ``u`` stays the live membrane as an NCHW-shaped view of the storage, so
+    dense drives, quiescence and the firing schedule read and write it as
+    before; :meth:`compact` compacts the storage and :meth:`reset` returns
+    to the NCHW arena.  The storage lives in its own capacity arena.
+
+    :meth:`reset` leaves the membrane unwritten: the first step zero-fills
+    it, a drain writes it whole, and any other reader zero-fills it first.
     """
 
     def __init__(
@@ -664,22 +753,73 @@ class TTFSNeurons(NeuronDynamics):
         self.window = window
         self.kernel = kernel
         self.theta0 = theta0
-        self._core = _FireOnce(kernel, window.fire_window, window.fire_start, theta0, dtype)
+        self._core = _FireOnce(
+            kernel, window.fire_window, window.fire_start, theta0, dtype, parked=True
+        )
         # Input exhausted but the potentials not yet scheduled (the one-shot
         # bias had not landed when the engine reported it).
         self._schedule_due = False
-        # No step since reset: the membrane is still zero and the one-shot
-        # bias has not landed (drain_fire_events lands it with the drive).
+        # No step since reset: the one-shot bias has not landed
+        # (drain_fire_events lands it with the drive).
         self._fresh = True
+        # Nothing has written the membrane since reset.
+        self._unwritten = True
+        # The channels-last storage while in CL mode, and its arena.
+        self._cl: np.ndarray | None = None
+        self._cl_base: np.ndarray | None = None
 
     def phase_window(self) -> StageWindow:
         return self.window
 
     def reset(self, batch_size: int) -> None:
-        super().reset(batch_size)
+        super().reset(batch_size, zeroed=False)
         self._core.reset((batch_size,) + self.shape)
+        self._cl = None
         self._schedule_due = False
         self._fresh = True
+        self._unwritten = True
+
+    def _membrane(self) -> np.ndarray:
+        """``u``, zero-filled first if nothing has written it since reset."""
+        u = self._require_state()
+        if self._unwritten:
+            u[...] = 0
+            self._unwritten = False
+        return u
+
+    def _nchw(self, storage: np.ndarray) -> np.ndarray:
+        """The ``(B, F, H, W)`` view of channels-last ``storage``."""
+        f, h, w = self.shape
+        return storage[:, : h * w].reshape(-1, h, w, f).transpose(0, 3, 1, 2)
+
+    def drive_target(self) -> np.ndarray | None:
+        """A conv population's channels-last storage ``(B, L+1, F)``,
+        entering CL mode on the first call of a run (see the class
+        docstring); ``None`` for a flat population.
+
+        Entering makes one transposing copy of ``u`` into the storage.
+        Fired units are parked at ``-inf`` by the fire check, so the copy
+        carries them; the sink row is set to ``-inf``, which every finite
+        sum keeps below any threshold.
+        """
+        if self._cl is None:
+            if len(self.shape) != 3:
+                return None
+            u = self._require_state()
+            n, f, h, w = u.shape
+            self._cl_base, storage = arena_view(
+                self._cl_base, (n, h * w + 1, f), self.dtype
+            )
+            body = self._nchw(storage)
+            if self._unwritten:
+                body[...] = 0
+                self._unwritten = False
+            else:
+                np.copyto(body, u)
+            storage[:, h * w] = -np.inf
+            self._cl = storage
+            self.u = body
+        return self._cl
 
     def _bias_settled(self, t: int) -> bool:
         """Whether the one-shot stage bias has been injected by step ``t``."""
@@ -690,7 +830,15 @@ class TTFSNeurons(NeuronDynamics):
         potentials are final: input exhausted and the bias landed by ``t``."""
         if self._bias_settled(t):
             self._schedule_due = False
-            self._core.schedule(self.u, t_from)
+            values, length = self._values()
+            self._core.schedule(values, t_from, length)
+
+    def _values(self) -> tuple[np.ndarray, int]:
+        """``(values, length)`` for the population's checks: in CL mode the
+        channels-last storage and its ``L``, else ``u`` and 0."""
+        if self._cl is not None:
+            return self._cl, self._cl.shape[1] - 1
+        return self._membrane(), 0
 
     def note_input_exhausted(self, t: int) -> None:
         if self.u is not None and self._core.pending:
@@ -698,7 +846,7 @@ class TTFSNeurons(NeuronDynamics):
             self._schedule_if_final(t, t + 1)
 
     def step(self, drive: np.ndarray | None, t: int) -> SpikePacket | None:
-        u = self._require_state()
+        u = self._membrane()
         self._fresh = False
         if drive is not None:
             u += drive
@@ -706,7 +854,8 @@ class TTFSNeurons(NeuronDynamics):
             u += self.bias
         if self._schedule_due:
             self._schedule_if_final(t, t)
-        return self._core.fire(u, t)
+        values, length = self._values()
+        return self._core.fire(values, t, length)
 
     def needs_drive(self, t: int) -> bool:
         """The membrane potential is only compared during the fire phase, so
@@ -761,30 +910,46 @@ class TTFSNeurons(NeuronDynamics):
             raise RuntimeError("reset() must be called before drain_fire_events()")
         if not self._bias_settled(t):
             raise RuntimeError("drain_fire_events() needs a settled bias")
-        if self._fresh and self._has_bias:
-            # No step has run (the layered schedule policy): the one-shot
-            # bias lands now, in one pass with the drive where the dtypes
-            # agree.  drive + bias is bit-identical to the per-step
-            # 0 + bias + drive (signed zeros aside, which never fire).
-            if drive is None or not drive.dtype == u.dtype == getattr(self.bias, "dtype", None):
-                u += self.bias
+        # With no step since reset (the layered schedule policy) the
+        # one-shot bias lands now.
+        bias = self.bias if self._fresh and self._has_bias else None
+        if self._unwritten:
+            # Written whole, in one pass: the drive and the bias together
+            # where the dtypes agree, else a copy or a fill.  drive + bias
+            # is bit-identical to the per-step 0 + bias + drive (signed
+            # zeros aside, which never fire).
+            if drive is None:
+                np.copyto(u, 0.0 if bias is None else bias)
+            elif bias is None:
+                np.copyto(u, drive)
+            elif drive.dtype == u.dtype == getattr(bias, "dtype", None):
+                np.add(drive, bias, out=u)
             else:
-                np.add(drive, self.bias, out=u)
-                drive = None
-        self._fresh = False
+                np.copyto(u, bias)
+                u += drive
+            drive = None
+        elif bias is not None:
+            u += bias
+        self._fresh = self._unwritten = False
         if drive is not None:
             u += drive
         self._schedule_due = False
         return self._core.drain(u, t + 1, out, threshold, workspace)
 
     def row_quiescent(self, t: int) -> np.ndarray | None:
-        if self.u is not None and t < self.window.integration_start and self._has_bias:
+        if self.u is None:
+            return None
+        if t < self.window.integration_start and self._has_bias:
             # The one-shot bias is still pending; potentials are not final.
             return np.zeros(self.u.shape[0], dtype=bool)
-        return self._core.quiescent(self.u, t)
+        return self._core.quiescent(self._values()[0], t)
 
     def compact(self, keep: np.ndarray) -> None:
-        super().compact(keep)
+        if self._cl is None:
+            super().compact(keep)
+        else:
+            self._cl = arena_compact(self._cl_base, self._cl, keep)
+            self.u = self._nchw(self._cl)
         self._core.compact(keep)
 
     def spike_fraction(self) -> float:

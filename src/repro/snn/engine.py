@@ -306,31 +306,35 @@ class Simulator:
         )
 
     def _propagate(
-        self, pstage, spikes: np.ndarray | SpikePacket | None
+        self, pstage, spikes: np.ndarray | SpikePacket | None, dyn=None
     ) -> np.ndarray | None:
         """Synaptic drive of ``pstage``'s stage for one step's spikes.
 
         ``pstage`` (a :class:`~repro.snn.plan.StagePlan`) binds the stage's
         kernels to an arena: a packet at or below its threshold takes the
-        event kernel, anything else the dense ops.
+        event kernel, anything else the dense ops.  On the event kernel the
+        receiving dynamics ``dyn`` may supply a membrane to accumulate into
+        (``NeuronDynamics.drive_target``); the drive is then already
+        integrated and this returns ``None``.
         """
         if spikes is None:
             return None
         if isinstance(spikes, SpikePacket):
             if self.event_driven and spikes.density <= pstage.threshold:
+                into = None if dyn is None else dyn.drive_target()
                 return ev.apply_stage_events(
-                    pstage.stage, spikes, pstage.workspace, pstage.index
+                    pstage.stage, spikes, pstage.workspace, pstage.index, into
                 )
             spikes = spikes.to_dense()
         return pstage.apply_dense(spikes)
 
-    def _flush(self, pstage, buffer: _DriveBuffer) -> np.ndarray | None:
+    def _flush(self, pstage, buffer: _DriveBuffer, dyn=None) -> np.ndarray | None:
         spikes, merged = buffer.take()
         if merged:
             # A deferred batch: re-measure density so a sparse accumulation
             # (e.g. a near-silent integration window) still takes the fast path.
             spikes, _ = ev.ingest(spikes, pstage.threshold if self.event_driven else 0.0)
-        return self._propagate(pstage, spikes)
+        return self._propagate(pstage, spikes, dyn)
 
     def _notify_batch_start(self, x: np.ndarray, y: np.ndarray | None) -> None:
         for monitor in self.monitors:
@@ -689,7 +693,7 @@ class Simulator:
                     elif phased and not awake[i][t]:
                         continue  # schedule-silent: the stage cannot act at t
                     if not self.event_driven or dyn.needs_drive(t):
-                        drive = self._flush(stage_plans[i], buffers[i])
+                        drive = self._flush(stage_plans[i], buffers[i], dyn)
                     else:
                         drive = None
                 spikes, count = ev.ingest(dyn.step(drive, t), pack_threshold)

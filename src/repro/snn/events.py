@@ -17,7 +17,8 @@ This module provides the sparse substrate the engine routes around:
   :class:`~repro.nn.layers.AvgPool2D` are pure index remaps (the packet
   stays sparse); :class:`~repro.nn.layers.Dense` gathers rows of ``W``;
   :class:`~repro.nn.layers.Conv2D` scatter-adds weight patches using a
-  cached reverse im2col map.  Work scales with the number of events, not
+  cached reverse im2col map, into a drive or straight into a receiving
+  channels-last membrane.  Work scales with the number of events, not
   the tensor size.
 * ``ingest`` — the engine's per-step chooser: measure density and pick the
   sparse or dense representation (see docs/DESIGN.md §7).
@@ -73,9 +74,8 @@ class SpikePacket:
     Attributes
     ----------
     rows:
-        Batch row of each event, **nondecreasing** (row-major order, as
-        produced by ``np.nonzero``).  The segment-reduce kernels rely on
-        this invariant.
+        Batch row of each event, **nondecreasing**.  The segment-reduce
+        kernels rely on this invariant.
     idx:
         Flat feature index of each event within ``shape`` (C-order).
         Duplicates within a row are legal (they arise from pooling remaps)
@@ -93,6 +93,15 @@ class SpikePacket:
         ``np.add.at`` and bit-identical for distinct positions.  Only
         constructors that can prove distinctness set it (pooling remaps
         may merge positions and leave it False).
+
+    Order contract: rows are nondecreasing; within a row the event order
+    is free (``np.nonzero`` extractions are row-major, a channels-last
+    membrane fires in ``(position, channel)`` order), except that events
+    at the same position keep their relative order.  Every kernel gives
+    bit-identical results under any order the contract allows: the conv
+    product and the position-wise scatters (``to_dense``,
+    :func:`merge_packets`) sum each position's events in their relative
+    order, and the ``Dense`` gather sorts stably by ``(row, idx)`` first.
     """
 
     rows: np.ndarray
@@ -134,11 +143,9 @@ class SpikePacket:
     def from_mask(
         cls, mask: np.ndarray, weight: float, dtype=np.float64
     ) -> "SpikePacket":
-        """Events of a boolean fire mask, all carrying the same ``weight``.
-
-        This is the native emission path for TTFS/phase-style dynamics whose
-        per-step spikes share one kernel weight — the dense
-        ``mask.astype(float) * weight`` tensor is never materialised.
+        """Events of a boolean fire mask, all carrying the same ``weight``,
+        for emitters whose per-step spikes share one kernel weight — the
+        dense ``mask.astype(float) * weight`` tensor is never materialised.
         """
         flat = mask.reshape(mask.shape[0], -1)
         rows, idx = np.divmod(np.flatnonzero(flat), flat.shape[1])
@@ -297,37 +304,105 @@ def _segment_scatter(
     out_flat[flat_pos[seg_starts]] += sums
 
 
+def _row_major(packet: SpikePacket, features: int):
+    """The packet's ``(rows, idx, weights)`` in ``(row, idx)`` order.
+
+    A stable sort, so events at one position keep their relative order; a
+    packet already in that order (a row-major extraction) is returned as
+    it is, and the check costs one pass over the events.
+    """
+    key = packet.rows * features + packet.idx
+    if np.any(key[1:] < key[:-1]):
+        order = np.argsort(key, kind="stable")
+        return packet.rows[order], packet.idx[order], packet.weights[order]
+    return packet.rows, packet.idx, packet.weights
+
+
 def _dense_apply_events(op: Dense, packet: SpikePacket) -> np.ndarray:
-    """Sparse ``x @ W``: gather the weight rows the events touch."""
+    """Sparse ``x @ W``: gather the weight rows the events touch.
+
+    Each row sums its events in ``(row, idx)`` order (:func:`_row_major`),
+    so the product does not depend on the packet's within-row order.
+    """
+    rows, idx, weights = _row_major(packet, op.in_features)
     if packet.count and _scipy_sparse is not None:
         indptr = np.zeros(packet.batch + 1, dtype=np.int64)
-        np.cumsum(np.bincount(packet.rows, minlength=packet.batch), out=indptr[1:])
+        np.cumsum(np.bincount(rows, minlength=packet.batch), out=indptr[1:])
         mat = _scipy_sparse.csr_matrix(
-            (packet.weights, packet.idx, indptr),
+            (weights, idx, indptr),
             shape=(packet.batch, op.in_features),
         )
         out = np.asarray(mat @ op.weight.data)
     else:
         out = np.zeros((packet.batch, op.out_features), dtype=packet.weights.dtype)
         if packet.count:
-            payload = op.weight.data[packet.idx] * packet.weights[:, None]
-            _segment_scatter(out, packet.rows, payload)
+            payload = op.weight.data[idx] * weights[:, None]
+            _segment_scatter(out, rows, payload)
     if op.bias is not None:
         out += op.bias.data
     return out
 
 
-def _conv2d_apply_events(op: Conv2D, packet: SpikePacket, ws, key) -> np.ndarray:
-    """Sparse convolution: scatter-add one weight patch per event.
+def _conv2d_output(op: Conv2D, packet: SpikePacket) -> tuple[int, int, np.dtype]:
+    """``(out_h, out_w, dtype)`` of ``op`` applied to ``packet``."""
+    _, h, w = packet.shape
+    out_h = conv_output_size(h, op.kernel_h, op.stride, op.pad)
+    out_w = conv_output_size(w, op.kernel_w, op.stride, op.pad)
+    return out_h, out_w, np.result_type(packet.weights.dtype, op.weight.data.dtype)
 
+
+def _conv2d_accumulate(op: Conv2D, packet: SpikePacket, rows: np.ndarray) -> None:
+    """Add the packet's convolution into ``rows``, the sparse conv's core.
+
+    ``rows`` is a C-contiguous ``(B*(L+1), F)`` channels-last block: per
+    batch row, ``L = out_h*out_w`` output positions, then one sink row.
     The cached reverse im2col map turns the packet into ``(kernel row,
-    output target, weight)`` triples with two gathers; out-of-bounds offsets
-    land in a per-row sink slot ``L = out_h*out_w`` instead of being masked
-    out.  With scipy the triples become the CSC operand of one compiled
-    ``(B*(L+1), C*KH*KW) @ W.T`` product accumulating straight into a
-    ``(B, L+1, F)`` buffer; without it a sorted segment-reduce fills the
-    same buffer.  Work scales with ``events x KH*KW x F`` instead of the
-    full im2col volume, plus one pass over the dense output.
+    output target, weight)`` triples with two gathers; out-of-bounds
+    offsets land in the sink row instead of being masked out.  With scipy
+    the triples become the CSC operand of one compiled ``(B*(L+1),
+    C*KH*KW) @ W.T`` product accumulating straight into ``rows``; without
+    it a segment-reduce sorted by ``(target, kernel row)`` does.  Either
+    way each target sums its patches in kernel-row order, and events at
+    one position in their relative order, so the packet's within-row
+    order does not matter.  Nothing is zeroed, transposed or biased.
+    """
+    if not packet.count:
+        return
+    c, h, w = packet.shape
+    kh, kw = op.kernel_h, op.kernel_w
+    f = op.out_channels
+    rows_total = rows.shape[0]
+    length = rows_total // packet.batch - 1
+    dtype = rows.dtype
+    krow_map, target_map = reverse_im2col_indices(c, h, w, kh, kw, op.stride, op.pad)
+    krow = np.take(krow_map, packet.idx, axis=0).ravel()
+    target = np.take(target_map, packet.idx, axis=0)
+    target += (packet.rows * (length + 1)).astype(np.int32)[:, None]
+    target = target.ravel()
+    weights = np.repeat(packet.weights.astype(dtype, copy=False), kh * kw)
+    w_t = np.ascontiguousarray(op.weight.data.reshape(f, -1).T, dtype=dtype)
+    if _scipy_sparse is not None:
+        # coo_tocsr keyed on the kernel row builds the operand's CSC
+        # form without sorting or summing duplicates; csc_matvecs then
+        # accumulates duplicates like any other entry.
+        k, nnz = w_t.shape[0], krow.shape[0]
+        indptr = np.empty(k + 1, dtype=np.int32)
+        indices = np.empty(nnz, dtype=np.int32)
+        data = np.empty(nnz, dtype=dtype)
+        _coo_tocsr(k, rows_total, nnz, krow, target, weights, indptr, indices, data)
+        _csc_matvecs(rows_total, k, f, indptr, indices, data, w_t, rows)
+    else:
+        order = np.lexsort((krow, target))
+        payload = w_t[krow[order]] * weights[order, None]
+        _segment_scatter(rows, target[order], payload)
+
+
+def _conv2d_apply_events(op: Conv2D, packet: SpikePacket, ws, key) -> np.ndarray:
+    """Sparse convolution returning a drive: scatter-add one weight patch
+    per event (:func:`_conv2d_accumulate`) into a zeroed ``(B, L+1, F)``
+    accumulator, then copy it, without the sink, into an NCHW drive.
+    Work scales with ``events x KH*KW x F`` instead of the full im2col
+    volume, plus the passes over the dense output.
 
     The accumulator (its own ``"scatter_acc"`` buffer) and the returned
     drive come from the arena ``ws`` under the op key ``key``.  The drive
@@ -336,43 +411,14 @@ def _conv2d_apply_events(op: Conv2D, packet: SpikePacket, ws, key) -> np.ndarray
     paths, and the drive follows the same ownership rule as
     ``StagePlan.apply_dense`` (valid until the stage's next flush).
     """
-    c, h, w = packet.shape
-    kh, kw = op.kernel_h, op.kernel_w
-    out_h = conv_output_size(h, kh, op.stride, op.pad)
-    out_w = conv_output_size(w, kw, op.stride, op.pad)
+    out_h, out_w, dtype = _conv2d_output(op, packet)
     length = out_h * out_w
     f = op.out_channels
     n = packet.batch
-    dtype = np.result_type(packet.weights.dtype, op.weight.data.dtype)
     acc = ws.buffer((key, "scatter_acc"), (n, length + 1, f), dtype)
     acc[...] = 0
+    _conv2d_accumulate(op, packet, acc.reshape(n * (length + 1), f))
     out = ws.buffer((key, "gemm"), (n, f, out_h, out_w), dtype)
-    if packet.count:
-        krow_map, target_map = reverse_im2col_indices(
-            c, h, w, kh, kw, op.stride, op.pad
-        )
-        rows_total = n * (length + 1)
-        krow = np.take(krow_map, packet.idx, axis=0).ravel()
-        target = np.take(target_map, packet.idx, axis=0)
-        target += (packet.rows * (length + 1)).astype(np.int32)[:, None]
-        target = target.ravel()
-        weights = np.repeat(packet.weights.astype(dtype, copy=False), kh * kw)
-        w_t = np.ascontiguousarray(op.weight.data.reshape(f, -1).T, dtype=dtype)
-        acc_rows = acc.reshape(rows_total, f)
-        if _scipy_sparse is not None:
-            # coo_tocsr keyed on the kernel row builds the operand's CSC
-            # form without sorting or summing duplicates; csc_matvecs then
-            # accumulates duplicates like any other entry.
-            k, nnz = w_t.shape[0], krow.shape[0]
-            indptr = np.empty(k + 1, dtype=np.int32)
-            indices = np.empty(nnz, dtype=np.int32)
-            data = np.empty(nnz, dtype=dtype)
-            _coo_tocsr(k, rows_total, nnz, krow, target, weights, indptr, indices, data)
-            _csc_matvecs(rows_total, k, f, indptr, indices, data, w_t, acc_rows)
-        else:
-            order = np.argsort(target, kind="stable")
-            payload = w_t[krow[order]] * weights[order, None]
-            _segment_scatter(acc_rows, target[order], payload)
     # (B, L+1, F) -> (B, F, L) without the sink, in cache-sized blocks: one
     # whole-array strided copy runs ~1.5x slower at 32x32 outputs.
     drive = out.reshape(n, f, length)
@@ -383,6 +429,25 @@ def _conv2d_apply_events(op: Conv2D, packet: SpikePacket, ws, key) -> np.ndarray
     if op.bias is not None:
         out += op.bias.data.reshape(1, -1, 1, 1)
     return out
+
+
+def _conv2d_accumulate_into(op: Conv2D, packet: SpikePacket, into: np.ndarray) -> bool:
+    """Add a bias-free conv's drive straight into ``into``, a C-contiguous
+    ``(B, L+1, F)`` channels-last membrane of the accumulation dtype whose
+    sink row ``L`` takes the out-of-bounds offsets; returns whether it
+    fitted (else the caller takes the drive-returning path)."""
+    out_h, out_w, dtype = _conv2d_output(op, packet)
+    f = op.out_channels
+    shape = (packet.batch, out_h * out_w + 1, f)
+    if (
+        op.bias is not None
+        or into.shape != shape
+        or into.dtype != dtype
+        or not into.flags.c_contiguous
+    ):
+        return False
+    _conv2d_accumulate(op, packet, into.reshape(-1, f))
+    return True
 
 
 def _avgpool_apply_events(
@@ -427,7 +492,9 @@ def apply_op_events(
     return op.infer(packet.to_dense(), ws, key)
 
 
-def apply_stage_events(stage, packet: SpikePacket, ws=FRESH, index=None) -> np.ndarray:
+def apply_stage_events(
+    stage, packet: SpikePacket, ws=FRESH, index=None, into=None
+) -> np.ndarray | None:
     """Propagate a packet through a converted stage's op chain.
 
     Index-remap ops keep the packet sparse; the first matrix op (conv or
@@ -436,10 +503,25 @@ def apply_stage_events(stage, packet: SpikePacket, ws=FRESH, index=None) -> np.n
     ``ws`` (fresh arrays by default) under the op keys ``(index, j)`` that
     ``StagePlan.apply_dense`` uses, so the drive follows its ownership
     rule (valid until the stage's next flush).
+
+    ``into`` is the receiving population's channels-last membrane
+    ``(B, L+1, F)`` (``NeuronDynamics.drive_target``), or ``None``.  When
+    the packet reaches the stage's last op as a packet, that op is a
+    bias-free ``Conv2D`` and ``into`` has its output's shape and dtype,
+    the conv adds its drive straight into ``into`` — no zero, transpose or
+    add pass — and this returns ``None``.  Otherwise it returns the drive.
     """
     out: SpikePacket | np.ndarray = packet
+    last = len(stage.ops) - 1
     for j, op in enumerate(stage.ops):
         if isinstance(out, SpikePacket):
+            if (
+                j == last
+                and into is not None
+                and isinstance(op, Conv2D)
+                and _conv2d_accumulate_into(op, out, into)
+            ):
+                return None
             out = apply_op_events(op, out, ws, (index, j))
         else:
             out = op.infer(out, ws, (index, j))

@@ -27,7 +27,7 @@ capacity suffices — consecutive batches of the same (or smaller) size
 perform zero state allocations — and sample retirement compacts survivors
 to the front of the base, so the working array is always a leading view.
 The values are bit-identical to freshly allocated state (every reuse is
-zero-filled).
+zero-filled, or written whole before it is read).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "NeuronDynamics",
     "IFNeurons",
     "ReadoutAccumulator",
+    "arena_view",
     "arena_zeros",
     "arena_compact",
 ]
@@ -48,14 +49,15 @@ def _bias_is_nonzero(bias) -> bool:
     return not np.isscalar(bias) or bias != 0.0
 
 
-def arena_zeros(base, shape, dtype):
-    """A zeroed array of ``shape``, reusing ``base``'s storage when it fits.
+def arena_view(base, shape, dtype):
+    """An array of ``shape`` with unspecified contents, reusing ``base``'s
+    storage when it fits.
 
     Returns ``(base, view)``: ``view`` is ``base[:shape[0]]`` when the base's
-    trailing dims and dtype match and its leading capacity suffices (the view
-    is zero-filled in place); otherwise a fresh array serves as both.  This is
-    the state-arena primitive of docs/DESIGN.md §10 — values are identical to
-    ``np.zeros`` in either case.
+    trailing dims and dtype match and its leading capacity suffices;
+    otherwise a fresh array serves as both.  This is the state-arena
+    primitive of docs/DESIGN.md §10, for state its owner writes whole
+    before reading it.
     """
     if (
         base is not None
@@ -63,11 +65,16 @@ def arena_zeros(base, shape, dtype):
         and base.shape[1:] == tuple(shape[1:])
         and base.shape[0] >= shape[0]
     ):
-        view = base[: shape[0]]
-        view[...] = 0
-        return base, view
-    base = np.zeros(shape, dtype=dtype)
+        return base, base[: shape[0]]
+    base = np.empty(shape, dtype=dtype)
     return base, base
+
+
+def arena_zeros(base, shape, dtype):
+    """:func:`arena_view`, zero-filled: values are identical to ``np.zeros``."""
+    base, view = arena_view(base, shape, dtype)
+    view[...] = 0
+    return base, view
 
 
 def arena_compact(base, view, keep):
@@ -100,20 +107,32 @@ class NeuronDynamics:
         # step costs more than the bias add itself on small stages.
         self._has_bias = _bias_is_nonzero(bias)
 
-    def reset(self, batch_size: int) -> None:
+    def reset(self, batch_size: int, zeroed: bool = True) -> None:
         """Zero all state for a fresh inference over ``batch_size`` samples.
 
         State lives in a capacity arena: consecutive resets at the same (or a
         smaller) batch size reuse the previous allocation (docs/DESIGN.md §10).
+        With ``zeroed=False`` the membrane is left unwritten, for dynamics
+        that write it whole before reading it.
         """
-        self._u_base, self.u = arena_zeros(
-            self._u_base, (batch_size,) + self.shape, self.dtype
-        )
+        arena = arena_zeros if zeroed else arena_view
+        self._u_base, self.u = arena(self._u_base, (batch_size,) + self.shape, self.dtype)
         self._has_bias = _bias_is_nonzero(self.bias)
 
     def step(self, drive: np.ndarray | None, t: int) -> np.ndarray | None:
         """Advance one step; return weighted spikes (or ``None`` for silence)."""
         raise NotImplementedError
+
+    def drive_target(self) -> np.ndarray | None:
+        """A membrane the event kernel may add this stage's drive into.
+
+        The engine asks on every event-kernel flush it delivers to
+        :meth:`step` and passes the answer to
+        :func:`repro.snn.events.apply_stage_events` as ``into``; when the
+        kernel accumulates into it, :meth:`step` receives no drive.  The
+        default, ``None``, always takes the drive.
+        """
+        return None
 
     def needs_drive(self, t: int) -> bool:
         """Whether step ``t``'s firing rule reads the membrane potential.

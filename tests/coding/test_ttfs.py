@@ -160,6 +160,34 @@ class TestTTFSNeurons:
             n.step(None, t)
         assert n.spike_fraction() == 0.5
 
+    def test_first_step_and_readers_zero_an_unwritten_membrane(self):
+        """reset() leaves the membrane unwritten (here: NaN, standing for
+        whatever the arena held); the first step or reader zero-fills it."""
+        n = TTFSNeurons((3,), bias=0.0, window=self.window(), kernel=kernel())
+        n.reset(2)
+        n.u[...] = np.nan
+        assert n.step(np.full((2, 3), 0.25), 0) is None
+        np.testing.assert_array_equal(n.u, 0.25)
+        n.reset(2)
+        n.u[...] = np.nan
+        assert n.row_quiescent(5).all()  # zero potentials never fire
+        np.testing.assert_array_equal(n.u, 0.0)
+
+    @pytest.mark.parametrize("bias", [0.0, 0.5, "array"])
+    @pytest.mark.parametrize("with_drive", [True, False])
+    def test_drain_writes_an_unwritten_membrane_whole(self, rng, bias, with_drive):
+        """A drain after reset writes the membrane whole: the drive, the
+        bias, both, or zeros; nothing the arena held survives."""
+        if bias == "array":
+            bias = rng.normal(0.0, 0.3, size=(1, 3))
+        drive = rng.normal(0.5, 0.5, size=(4, 3)) if with_drive else None
+        n = TTFSNeurons((3,), bias=bias, window=self.window(), kernel=kernel())
+        n.reset(4)
+        n.u[...] = np.nan
+        n.drain_fire_events(3, None if drive is None else drive.copy(), threshold=1.0)
+        want = np.zeros((4, 3)) + bias + (0.0 if drive is None else drive)
+        np.testing.assert_array_equal(n.u, want)
+
 
 class TestBulkDrains:
     """``drain_events`` / ``drain_fire_events``: the dense path writes

@@ -372,3 +372,105 @@ class TestMergePackets:
         w = np.concatenate([p.weights for p in packets])
         ref = np.bincount(pos, weights=w, minlength=4 * features).reshape(4, 50)
         np.testing.assert_array_equal(merge_packets(packets, np.empty((4, 50))), ref)
+
+
+def _channels_last(packet: SpikePacket) -> SpikePacket:
+    """The same events with each row listed in ``(position, channel)``
+    order, as a channels-last membrane fires them."""
+    channels = packet.shape[0]
+    length = int(np.prod(packet.shape[1:]))
+    channel, position = np.divmod(packet.idx, length)
+    key = (packet.rows * length + position) * channels + channel
+    order = np.argsort(key, kind="stable")
+    return SpikePacket(
+        rows=packet.rows[order],
+        idx=packet.idx[order],
+        weights=packet.weights[order],
+        batch=packet.batch,
+        shape=packet.shape,
+        unique=packet.unique,
+    )
+
+
+@dataclass(frozen=True)
+class OrderCase:
+    channels: int
+    filters: int
+    side: int
+    batch: int
+    density: float
+    dtype: type
+    seed: int
+
+
+@st.composite
+def order_cases(draw):
+    return OrderCase(
+        channels=draw(st.integers(2, 4)),
+        filters=draw(st.integers(1, 4)),
+        side=draw(st.sampled_from([2, 4, 6])),
+        batch=draw(st.integers(1, 4)),
+        density=draw(st.sampled_from([0.1, 0.4, 0.9])),
+        dtype=draw(st.sampled_from([np.float32, np.float64])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _stage(ops, out_shape):
+    return ConvertedStage(ops=ops, bias=None, spiking=True, out_shape=out_shape, name="s")
+
+
+class TestPacketOrderContract:
+    """Within a row, event order is free: a packet and its channels-last
+    reordering give bit-identical results through every kernel."""
+
+    @pytest.mark.parametrize("backend", ["scipy", "numpy"])
+    @settings(max_examples=40, deadline=None)
+    @given(case=order_cases())
+    def test_channels_last_order_is_bit_identical(self, backend, case):
+        if backend == "scipy" and events_mod._scipy_sparse is None:
+            pytest.skip("scipy is not installed")
+        rng = np.random.default_rng(case.seed)
+        c, s = case.channels, case.side
+        shape = (case.batch, c, s, s)
+        dense = (rng.random(shape) * (rng.random(shape) < case.density)).astype(case.dtype)
+        packet = SpikePacket.from_dense(dense)
+        reordered = _channels_last(packet)
+        conv = Conv2D(c, case.filters, 3, pad=1, use_bias=False, rng=rng, dtype=case.dtype)
+        pooled = s // 2
+        stages = [
+            _stage([conv], (case.filters, s, s)),
+            _stage(
+                [AvgPool2D(2), Conv2D(c, case.filters, 3, pad=1, use_bias=False, rng=rng,
+                                      dtype=case.dtype)],
+                (case.filters, pooled, pooled),
+            ),
+            _stage([Flatten(), Dense(c * s * s, 3, rng=rng, dtype=case.dtype)], (3,)),
+            _stage(
+                [AvgPool2D(2), Flatten(), Dense(c * pooled * pooled, 3, rng=rng,
+                                                dtype=case.dtype)],
+                (3,),
+            ),
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            if backend == "numpy":
+                mp.setattr(events_mod, "_scipy_sparse", None)
+            for stage in stages:
+                want = apply_stage_events(stage, packet)
+                got = apply_stage_events(stage, reordered)
+                np.testing.assert_array_equal(got, want)
+                if len(stage.out_shape) == 3:
+                    # The in-place accumulation into a channels-last membrane.
+                    f, h, w = stage.out_shape
+                    targets = [np.zeros((case.batch, h * w + 1, f), case.dtype) for _ in "ab"]
+                    assert apply_stage_events(stage, packet, into=targets[0]) is None
+                    assert apply_stage_events(stage, reordered, into=targets[1]) is None
+                    np.testing.assert_array_equal(targets[1], targets[0])
+        pool = AvgPool2D(2)
+        pairs = [(packet, reordered), tuple(apply_op_events(pool, p) for p in (packet, reordered))]
+        for unique, reorder in pairs:
+            np.testing.assert_array_equal(reorder.to_dense(), unique.to_dense())
+            out = [np.empty((case.batch, *unique.shape), case.dtype) for _ in "ab"]
+            events_mod.merge_packets([unique, unique], out[0])
+            events_mod.merge_packets([reorder, reorder], out[1])
+            np.testing.assert_array_equal(out[1], out[0])

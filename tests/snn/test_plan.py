@@ -361,9 +361,9 @@ class TestZeroAllocationSteadyState:
         arena_calls = []
         propagate = ev.apply_stage_events
 
-        def recording(stage, packet, ws=None, index=None):
+        def recording(stage, packet, ws=None, index=None, *into):
             arena_calls.append(ws is plan.workspace)
-            return propagate(stage, packet, ws, index)
+            return propagate(stage, packet, ws, index, *into)
 
         monkeypatch.setattr(ev, "apply_stage_events", recording)
         plan.run_batched(x, batch_size=8)  # warmup sizes the event buffers
