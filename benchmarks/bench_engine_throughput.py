@@ -15,9 +15,10 @@ VGG network under TTFS coding (baseline and early-firing schedules):
 
 All rows must satisfy the hard parity requirement (identical predictions
 and spike counts to the dense engine).  Results — wall time, samples/sec,
-executed steps, and the early-exit step savings on an over-provisioned
-budget — are written to ``BENCH_engine.json`` at the repo root so the perf
-trajectory is tracked across PRs.
+executed steps, the early-exit step savings on an over-provisioned
+budget and the compiled plan's arena bytes — are written to
+``BENCH_engine.json`` at the repo root so the perf trajectory is tracked
+across PRs.
 
 Scale: ``REPRO_SCALE=ci`` (default) runs an untrained width-0.25 VGG-7 in
 seconds; ``REPRO_SCALE=paper`` widens the net and window toward the paper's
@@ -179,6 +180,9 @@ def _measure(network, x, cfg, early_firing: bool) -> dict:
         "speedup_runtime_vs_event": round(event_t / min(serial_t, par_t), 2),
         "speedup_compiled_vs_serial": round(serial_t / comp_t, 2),
         "spikes_per_neuron": round(serial_r.total_spikes / network.total_neurons, 4),
+        # Deterministic: the compiled plan's arena after its runs (CI gates
+        # it at 5% over the committed value).
+        "arena_bytes": compiled.workspace.nbytes(),
     }
 
 

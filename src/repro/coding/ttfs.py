@@ -737,7 +737,8 @@ class TTFSNeurons(NeuronDynamics):
     to the NCHW arena.  The storage lives in its own capacity arena.
 
     :meth:`reset` leaves the membrane unwritten: the first step zero-fills
-    it, a drain writes it whole, and any other reader zero-fills it first.
+    it, a drain writes it whole or takes its consumed drive as the
+    membrane, and any other reader zero-fills it first.
     """
 
     def __init__(
@@ -898,12 +899,18 @@ class TTFSNeurons(NeuronDynamics):
         delivery; spikes carry per-event kernel weights and are latched
         fired.
 
+        On such a population a C-contiguous ``drive`` of the membrane's
+        shape and dtype is consumed: the bias is added into it in place and
+        it is drained as ``u`` (the population's membrane until the next
+        :meth:`reset`).
+
         They leave as one row-major packet unless ``out`` (shaped like the
         population) is given and their density exceeds ``threshold`` — the
         receiver's event-kernel density threshold — in which case the
         dense weighted tensor is written into ``out`` (which may be
-        ``drive`` itself: it is integrated first); the arena ``workspace``
-        supplies shared scratch (:func:`_drain`).
+        ``drive`` itself: the drain writes it after its last read of the
+        potentials); the arena ``workspace`` supplies shared scratch
+        (:func:`_drain`).
         """
         u = self.u
         if u is None:
@@ -917,8 +924,21 @@ class TTFSNeurons(NeuronDynamics):
             # Written whole, in one pass: the drive and the bias together
             # where the dtypes agree, else a copy or a fill.  drive + bias
             # is bit-identical to the per-step 0 + bias + drive (signed
-            # zeros aside, which never fire).
-            if drive is None:
+            # zeros aside, which never fire).  A C-contiguous drive of the
+            # membrane's shape and dtype is consumed, so it becomes the
+            # membrane, the bias added in place: the membrane arena is
+            # never touched.
+            if (
+                drive is not None
+                and drive.shape == u.shape
+                and drive.flags.c_contiguous
+                and drive.dtype == u.dtype
+                and (bias is None or getattr(bias, "dtype", None) == u.dtype)
+            ):
+                if bias is not None:
+                    drive += bias
+                self.u = u = drive
+            elif drive is None:
                 np.copyto(u, 0.0 if bias is None else bias)
             elif bias is None:
                 np.copyto(u, drive)
@@ -951,6 +971,11 @@ class TTFSNeurons(NeuronDynamics):
             self._cl = arena_compact(self._cl_base, self._cl, keep)
             self.u = self._nchw(self._cl)
         self._core.compact(keep)
+
+    def membrane_nbytes(self) -> int:
+        """Bytes of the membrane arenas: NCHW and channels-last."""
+        cl = 0 if self._cl_base is None else self._cl_base.nbytes
+        return super().membrane_nbytes() + cl
 
     def spike_fraction(self) -> float:
         """Fraction of neurons that have fired (sparsity diagnostic)."""

@@ -89,9 +89,10 @@ def _drain_target(receiver, shape, dtype, consumed=None) -> dict:
 
     The drain goes dense exactly when ``receiver.threshold`` would send its
     packet through the GEMM (the kernel decision ``_propagate`` makes),
-    writing into ``consumed`` — the draining stage's drive, integrated and
-    dead until that stage's next flush — or, without one, into the
-    receiver's own arena buffer, which lives until the receiver flushes it.
+    writing into ``consumed`` — the draining stage's drive, its output
+    slab, read by the drain before it is written — or, without one, into
+    the receiver's own arena buffer (its inbox, never a shared slab), which
+    lives until the receiver flushes it.
     """
     workspace = receiver.workspace
     if consumed is None:
@@ -614,6 +615,10 @@ class Simulator:
             receivers = [*stage_plans, readout_plan]
             # (source, counts key, spikes) of every drain a truncation cuts
             # back; the last stage's drain reaches the readout at the end.
+            # A dense drain lives in its stage's output slab, which the
+            # stage two later overwrites: by then the drain fired all its
+            # spikes before any step a truncation can stop at, and the cut
+            # returns without reading it (docs/DESIGN.md §10).
             drained = []
             held = None
             packet, count = bound.encoder.drain_events(

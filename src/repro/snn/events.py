@@ -139,25 +139,6 @@ class SpikePacket:
             unique=True,
         )
 
-    @classmethod
-    def from_mask(
-        cls, mask: np.ndarray, weight: float, dtype=np.float64
-    ) -> "SpikePacket":
-        """Events of a boolean fire mask, all carrying the same ``weight``,
-        for emitters whose per-step spikes share one kernel weight — the
-        dense ``mask.astype(float) * weight`` tensor is never materialised.
-        """
-        flat = mask.reshape(mask.shape[0], -1)
-        rows, idx = np.divmod(np.flatnonzero(flat), flat.shape[1])
-        return cls(
-            rows=rows,
-            idx=idx,
-            weights=np.full(idx.shape[0], weight, dtype=dtype),
-            batch=mask.shape[0],
-            shape=mask.shape[1:],
-            unique=True,
-        )
-
     def to_dense(self, dtype=None) -> np.ndarray:
         """Materialise the dense weighted spike tensor."""
         dtype = self.weights.dtype if dtype is None else dtype
@@ -404,12 +385,12 @@ def _conv2d_apply_events(op: Conv2D, packet: SpikePacket, ws, key) -> np.ndarray
     Work scales with ``events x KH*KW x F`` instead of the full im2col
     volume, plus the passes over the dense output.
 
-    The accumulator (its own ``"scatter_acc"`` buffer) and the returned
+    The accumulator (the shared ``"scatter_acc"`` scratch) and the returned
     drive come from the arena ``ws`` under the op key ``key``.  The drive
     is ``Conv2D.infer``'s ``"gemm"`` output buffer, in the same
     C-contiguous ``(N, F, H, W)`` layout: a flush takes one of the two
     paths, and the drive follows the same ownership rule as
-    ``StagePlan.apply_dense`` (valid until the stage's next flush).
+    ``StagePlan.apply_dense`` (valid until the next request for its slab).
     """
     out_h, out_w, dtype = _conv2d_output(op, packet)
     length = out_h * out_w
@@ -502,7 +483,7 @@ def apply_stage_events(
     the dense inference path.  Every op takes its buffers from the arena
     ``ws`` (fresh arrays by default) under the op keys ``(index, j)`` that
     ``StagePlan.apply_dense`` uses, so the drive follows its ownership
-    rule (valid until the stage's next flush).
+    rule (valid until the next request for its slab).
 
     ``into`` is the receiving population's channels-last membrane
     ``(B, L+1, F)`` (``NeuronDynamics.drive_target``), or ``None``.  When

@@ -123,6 +123,10 @@ class NeuronDynamics:
         """Advance one step; return weighted spikes (or ``None`` for silence)."""
         raise NotImplementedError
 
+    def membrane_nbytes(self) -> int:
+        """Bytes of the membrane arena this population holds."""
+        return 0 if self._u_base is None else self._u_base.nbytes
+
     def drive_target(self) -> np.ndarray | None:
         """A membrane the event kernel may add this stage's drive into.
 

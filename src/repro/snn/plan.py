@@ -11,10 +11,13 @@ everything the per-step loop otherwise re-decides:
   the coding rather than by the machine, and one rule serves every stage.
 * **Workspace arena.**  Drive/merge tensors, one-sample im2col blocks,
   GEMM and pool outputs and (via :mod:`repro.snn.neurons`) membrane/readout
-  state are preallocated once per (batch, dtype) signature and reused
-  across steps, batches and runs; smaller batches (including retirement
-  compaction) use leading views of the same storage, so steady-state
-  inference performs no per-step heap allocations.
+  state are allocated on first use and reused across steps, batches and
+  runs; smaller batches (including retirement compaction) use leading
+  views of the same storage, so steady-state inference performs no
+  per-step heap allocations.  The arena holds one slab per *role*
+  (:func:`slab_of`): stage outputs ping-pong between two parity slabs and
+  scratch is shared, so like an ANN forward pass it holds two
+  activations, not one per stage.
 * **Window schedule.**  Window-scheduled schemes (TTFS, reverse) declare
   their firing windows (``NeuronDynamics.phase_window`` /
   ``InputEncoder.emission_window``).  The plan stores them once, with what
@@ -43,12 +46,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.nn.layers import Flatten
 from repro.snn.budget import Budget, BudgetTimer
 from repro.snn.engine import Simulator, _check_batch_size
 from repro.snn.results import SimulationResult
 
 __all__ = [
     "Workspace",
+    "slab_of",
     "StagePlan",
     "WindowSchedule",
     "ExecutionPlan",
@@ -80,52 +85,109 @@ def _page_staggered(size: int, dtype: np.dtype, zeroed: bool, slot: int) -> np.n
     return raw[skip : skip + size]
 
 
+#: Stage outputs: one slab per role and stage parity, so a stage reads the
+#: slab the stage before it wrote while it writes the other one.
+_OUTPUT_ROLES = frozenset({"gemm", "pool", "dense"})
+#: Per-call scratch, dead when its kernel returns: one slab per role.
+_SCRATCH_ROLES = frozenset({"im2col", "pool.pair", "scatter_acc"})
+
+
+def slab_of(key, private=frozenset()):
+    """The slab serving the arena buffer ``key``: the slab rule.
+
+    A kernel's key is ``(op key, role)``, its op key ``(stage index, op
+    index)`` or a stage index.  A stage output (``"gemm"``, ``"pool"``,
+    ``"dense"``) lives in the slab ``(role, index % 2)``, per-call scratch
+    (``"im2col"``, ``"pool.pair"``, ``"scatter_acc"``) in the slab
+    ``role``.  Every other key is a slab of its own: a stage's ``("merge",
+    index)`` (it holds deferred drives across steps), ``("drain",
+    receiver)`` (the receiver's inbox), a conv's ``"pad"`` (its zeroed
+    border), the drains' shared ``("ttfs.drain", name)`` scratch, any key
+    without a stage index, and the outputs of the ``private`` stages.
+    """
+    if type(key) is tuple and len(key) == 2:
+        owner, role = key
+        if role in _SCRATCH_ROLES:
+            return role
+        if role in _OUTPUT_ROLES:
+            index = owner[0] if type(owner) is tuple else owner
+            if type(index) is int and index not in private:
+                return role, index % 2
+    return key
+
+
+def _role(slab) -> str:
+    """The role a slab serves: its first string part."""
+    if isinstance(slab, str):
+        return slab
+    parts = slab if isinstance(slab, tuple) else ()
+    return next((part for part in parts if isinstance(part, str)), repr(slab))
+
+
 class Workspace:
-    """A keyed arena of persistent numpy buffers.
+    """An arena of persistent numpy buffers, one slab per role.
 
     ``buffer(key, shape, dtype)`` returns a C-contiguous view of exactly
-    ``shape`` backed by a flat capacity array that survives across calls:
-    repeated requests (steps, batches, runs) reuse the same storage, and a
-    request needing at most the existing capacity allocates nothing.
-    ``allocations`` counts backing allocations — a steady-state workload
-    holds it constant, which the zero-allocation test asserts.
+    ``shape`` backed by the flat capacity array of the slab serving
+    ``key`` (:func:`slab_of`), which survives across calls: repeated
+    requests (steps, batches, runs) reuse the same storage, a slab grows
+    to its largest request, and a request needing at most the existing
+    capacity allocates nothing.  A slab serves one dtype; a request in
+    another replaces its storage.  ``allocations`` counts backing
+    allocations — a steady-state workload holds it constant, which the
+    zero-allocation test asserts.
 
-    Ownership rules (docs/DESIGN.md §10): views returned here are valid
-    until the next request for the *same key*; callers that need a result
-    to outlive the arena (caches, returned scores) must copy.
+    Ownership rule (docs/DESIGN.md §10): a view returned here is valid
+    until the next request for the *same slab*.  Stage outputs ping-pong
+    between two parity slabs, so a stage's output lives until the stage
+    two later writes its own; callers that need a result to outlive that
+    (caches, returned scores) must copy.  A stage holding two ops of one
+    kind (two pools, say) would read the slab it writes, so the stages
+    named in ``private`` keep one output buffer per op.
     """
 
-    def __init__(self):
+    def __init__(self, private=frozenset()):
         self._buffers: dict = {}
         self._trailing: dict = {}
+        self._private = frozenset(private)
         self.allocations = 0
 
     def buffer(self, key, shape, dtype, zeroed: bool = False) -> np.ndarray:
-        """A persistent buffer of ``shape``/``dtype`` under ``key``.
+        """A persistent buffer of ``shape``/``dtype`` in the slab serving ``key``.
 
         ``zeroed`` guarantees untouched cells read zero on first use and
         whenever the trailing (per-sample) layout changes; a pure
         leading-dimension change keeps previously zeroed cells at the same
         flat offsets, so no re-zeroing is needed (the padded-border case).
         """
+        slab = slab_of(key, self._private)
         size = math.prod(shape)
-        base = self._buffers.get(key)
+        base = self._buffers.get(slab)
         if base is None or base.dtype != dtype or base.size < size:
             base = _page_staggered(size, np.dtype(dtype), zeroed, self.allocations)
-            self._buffers[key] = base
-            self._trailing[key] = tuple(shape[1:])
+            self._buffers[slab] = base
+            self._trailing[slab] = tuple(shape[1:])
             self.allocations += 1
-        elif zeroed and self._trailing[key] != tuple(shape[1:]):
+        elif zeroed and self._trailing[slab] != tuple(shape[1:]):
             base[...] = 0
-            self._trailing[key] = tuple(shape[1:])
+            self._trailing[slab] = tuple(shape[1:])
         return base[:size].reshape(shape)
 
     def nbytes(self, key=None) -> int:
-        """Bytes held by the arena, or under ``key`` alone (0 if unused)."""
+        """Bytes held by the arena, or by the slab serving ``key`` alone (0
+        if unused); a slab's own key (``"im2col"``, ``("gemm", 0)``) names it."""
         if key is not None:
-            base = self._buffers.get(key)
+            base = self._buffers.get(slab_of(key, self._private))
             return 0 if base is None else base.nbytes
         return sum(b.nbytes for b in self._buffers.values())
+
+    def roles(self) -> dict[str, tuple[int, int]]:
+        """``{role: (slabs, bytes)}`` over the arena's slabs."""
+        table: dict[str, tuple[int, int]] = {}
+        for slab, base in self._buffers.items():
+            count, size = table.get(_role(slab), (0, 0))
+            table[_role(slab)] = (count + 1, size + base.nbytes)
+        return table
 
 
 @dataclass
@@ -151,8 +213,10 @@ class StagePlan:
 
         ``ConvertedStage.apply`` with every op's buffers taken from this
         plan's arena under the op keys ``(index, j)``: bit-identical, and
-        over a persistent workspace the returned drive may be a view into
-        it, valid until this stage's next flush.
+        over a persistent workspace the returned drive may be a view of
+        the output slab of this stage's parity, valid until the next
+        request for that slab (this stage's next flush, or the flush of a
+        stage of the same parity).
         """
         out = x
         for j, op in enumerate(self.stage.ops):
@@ -247,13 +311,22 @@ class ExecutionPlan:
         return self.schedule is not None
 
     def describe(self) -> str:
-        """Human-readable per-stage operator table."""
+        """Human-readable per-stage operator table, then the arena by role
+        (slabs and bytes; it holds nothing before the first run) and the
+        membrane bytes the dynamics hold."""
         lines = [f"ExecutionPlan(batch={self.batch_size}, phased={self.phased})"]
         for p in [*self.stage_plans, self.readout_plan]:
             op = "event" if p.threshold >= 1.0 else (
                 "gemm" if p.threshold <= 0.0 else f"auto<= {p.threshold:.4f}"
             )
             lines.append(f"  {p.name}: operator={op} in={p.in_shape}")
+        roles = self.workspace.roles()
+        slabs = sum(count for count, _ in roles.values())
+        lines.append(f"  arena: {self.workspace.nbytes() / 1e6:.2f} MB in {slabs} slabs")
+        for role, (count, size) in sorted(roles.items()):
+            lines.append(f"    {role}: {count} x, {size} B")
+        membranes = sum(dyn.membrane_nbytes() for dyn in self.bound.dynamics)
+        lines.append(f"  membranes: {membranes / 1e6:.2f} MB (the dynamics')")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------ #
@@ -359,7 +432,11 @@ def compile_plan(
     runner = sim
     if steps is not None and steps != sim._steps_arg:
         runner = sim._replica(steps=steps, monitors=sim.monitors)
-    workspace = Workspace()
+    stages = [s for s in runner.network.stages if s.spiking] + [runner.network.stages[-1]]
+    kinds = [[type(op) for op in s.ops if not isinstance(op, Flatten)] for s in stages]
+    workspace = Workspace(
+        private=(i for i, ops in enumerate(kinds) if len(set(ops)) < len(ops))
+    )
     plans = stage_plans(runner, workspace)
     return ExecutionPlan(
         simulator=runner,

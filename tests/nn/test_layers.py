@@ -250,10 +250,13 @@ class TestConvInference:
             np.testing.assert_allclose(
                 want / scale, layer.forward(np.ascontiguousarray(x)) / scale, rtol=tol, atol=tol
             )
-        # The im2col scratch is one sample's (C*KH*KW, L) block at any batch.
+        # The im2col slab is one sample's (C*KH*KW, L) block at any batch;
+        # the GEMM slab of the stage's parity holds the largest batch.
         _, out_h, out_w = layer.output_shape((case["channels"], case["height"], case["width"]))
         block = case["channels"] * layer.kernel_h * layer.kernel_w * out_h * out_w
-        assert ws.nbytes(((0, 0), "im2col")) == block * np.dtype(dtype).itemsize
+        drive = max(case["batches"]) * case["filters"] * out_h * out_w
+        assert ws.nbytes("im2col") == block * np.dtype(dtype).itemsize
+        assert ws.nbytes(("gemm", 0)) == drive * np.dtype(dtype).itemsize
 
     def test_mixed_dtypes_promote(self, rng):
         layer = Conv2D(2, 3, 3, pad=1, rng=rng, dtype=np.float32)

@@ -118,13 +118,6 @@ class TestSpikePacket:
         np.testing.assert_array_equal(packet.to_dense(), dense)
         np.testing.assert_array_equal(packet.mask(), dense != 0)
 
-    def test_from_mask_weights(self):
-        mask = np.zeros((2, 4), dtype=bool)
-        mask[0, 1] = mask[1, 3] = True
-        packet = SpikePacket.from_mask(mask, 0.25)
-        np.testing.assert_array_equal(packet.to_dense(), mask * 0.25)
-        assert packet.density == pytest.approx(2 / 8)
-
     def test_ingest_packs_below_threshold(self, rng):
         dense = np.zeros((2, 100))
         dense[0, 3] = 1.0
@@ -136,7 +129,7 @@ class TestSpikePacket:
         assert silent is None and count == 0
 
     def test_spike_helpers(self):
-        packet = SpikePacket.from_mask(np.ones((1, 3), dtype=bool), 2.0)
+        packet = SpikePacket.from_dense(np.full((1, 3), 2.0))
         assert spike_count(packet) == 3
         assert spike_count(None) == 0
         np.testing.assert_array_equal(spike_mask(packet), np.ones((1, 3), dtype=bool))

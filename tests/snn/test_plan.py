@@ -22,7 +22,7 @@ from repro.coding.phase import PhaseCoding
 from repro.coding.rate import RateCoding
 from repro.coding.reverse import ReverseCoding
 from repro.coding.ttfs import TTFSCoding, TTFSInputEncoder, TTFSNeurons
-from repro.nn.layers import Conv2D
+from repro.nn.layers import AvgPool2D, Conv2D, Dense
 from repro.snn import events as ev
 from repro.snn import plan as plan_mod
 from repro.snn.engine import Simulator
@@ -456,26 +456,89 @@ class TestZeroAllocationSteadyState:
 
     @pytest.mark.parametrize("capacity", [1, 5, 64])
     def test_conv_im2col_scratch_is_one_sample(self, tiny_network, tiny_data, capacity):
-        """A conv stage's im2col block holds one sample's ``C*KH*KW*L``
-        elements whatever the plan's capacity; its drive holds the batch."""
+        """The arena's one im2col slab holds the plan's largest one-sample
+        ``C*KH*KW*L`` block whatever the plan's capacity; each parity's
+        GEMM slab holds the batch drive of its largest conv stage."""
         plan = Simulator(tiny_network, TTFSCoding(window=16)).compile(batch_size=capacity)
         plan.run_batched(tiny_data[2][:64])
         ws = plan.workspace
-        convs = 0
+        blocks, drives = [], {0: 0, 1: 0}
         for pstage in [*plan.stage_plans, plan.readout_plan]:
             shape = pstage.in_shape
-            for j, op in enumerate(pstage.stage.ops):
+            for op in pstage.stage.ops:
                 if isinstance(op, Conv2D):
                     c, h, w = shape
                     _, out_h, out_w = op.output_shape(shape)
                     itemsize = op.weight.data.itemsize
-                    block = c * op.kernel_h * op.kernel_w * out_h * out_w
+                    blocks.append(c * op.kernel_h * op.kernel_w * out_h * out_w)
                     drive = capacity * op.out_channels * out_h * out_w
-                    assert ws.nbytes(((pstage.index, j), "im2col")) == block * itemsize
-                    assert ws.nbytes(((pstage.index, j), "gemm")) == drive * itemsize
-                    convs += 1
+                    parity = pstage.index % 2
+                    drives[parity] = max(drives[parity], drive)
                 shape = op.output_shape(shape)
-        assert convs == 2
+        assert len(blocks) == 2
+        assert ws.nbytes("im2col") == max(blocks) * itemsize
+        for parity, drive in drives.items():
+            assert ws.nbytes(("gemm", parity)) == drive * itemsize
+
+    def test_arena_holds_one_slab_per_role(self, tiny_network, tiny_data):
+        """Every op of a GEMM-pinned run writes its output into the slab of
+        its role and stage parity, sized to the largest stage output that
+        parity holds; scratch and stage-private buffers keep their own
+        slabs, and ``describe`` lists the arena by role."""
+        capacity = 5
+        plan = pinned_plan(tiny_network, 0.0, batch_size=capacity)
+        plan.run(tiny_data[2][:capacity])
+        ws = plan.workspace
+        roles = {Conv2D: "gemm", AvgPool2D: "pool", Dense: "dense"}
+        outputs = {}
+        for pstage in [*plan.stage_plans, plan.readout_plan]:
+            shape = pstage.in_shape
+            for op in pstage.stage.ops:
+                shape = op.output_shape(shape)
+                if type(op) in roles:
+                    slab = (roles[type(op)], pstage.index % 2)
+                    outputs[slab] = max(outputs.get(slab, 0), capacity * int(np.prod(shape)))
+        itemsize = tiny_network.dtype.itemsize
+        assert {slab: ws.nbytes(slab) for slab in outputs} == {
+            slab: size * itemsize for slab, size in outputs.items()
+        }
+        table = ws.roles()
+        for role in roles.values():
+            assert table[role] == (
+                len([slab for slab in outputs if slab[0] == role]),
+                sum(ws.nbytes(slab) for slab in outputs if slab[0] == role),
+            )
+        assert table["im2col"][0] == table["pool.pair"][0] == 1
+        assert sum(size for _, size in table.values()) == ws.nbytes()
+        text = plan.describe()
+        assert f"arena: {ws.nbytes() / 1e6:.2f} MB" in text
+        assert "gemm: 2 x" in text and "membranes:" in text
+
+    def test_layered_membrane_is_the_consumed_drive(self, tiny_network, tiny_data, monkeypatch):
+        """A layered drain adds the bias into its stage's consumed drive and
+        drains it as the membrane: ``u`` shares memory with the drive, and
+        the membrane arena is never written."""
+        plan = pinned_plan(tiny_network, 0.0)
+        plan.run(tiny_data[2][:8])  # warmup: the membranes exist
+        for dyn in plan.bound.dynamics:
+            dyn._u_base[...] = 7.0
+        drives = []
+        original = TTFSNeurons.drain_fire_events
+
+        def recording(self, t, drive=None, **kwargs):
+            drives.append(drive)
+            spikes, count = original(self, t, drive, **kwargs)
+            assert np.shares_memory(self.u, drive)
+            return spikes, count
+
+        monkeypatch.setattr(TTFSNeurons, "drain_fire_events", recording)
+        got = plan.run(tiny_data[2][:8])
+        assert len(drives) == len(plan.stage_plans)
+        for dyn in plan.bound.dynamics:
+            assert (dyn._u_base == 7.0).all()
+        ref = reference(tiny_network, lambda: TTFSCoding(window=16), None, tiny_data[2][:8])
+        np.testing.assert_array_equal(got.predictions, ref.predictions)
+        assert got.spike_counts == ref.spike_counts
 
     def test_no_net_heap_growth_across_runs(self, tiny_network, tiny_data):
         """tracemalloc: after warmup, further compiled runs retain no new
