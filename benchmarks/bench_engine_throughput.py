@@ -16,7 +16,7 @@ VGG network under TTFS coding (baseline and early-firing schedules):
 All rows must satisfy the hard parity requirement (identical predictions
 and spike counts to the dense engine).  Results — wall time, samples/sec,
 executed steps, the early-exit step savings on an over-provisioned
-budget and the compiled plan's arena bytes — are written to
+budget and the compiled plan's arena and membrane bytes — are written to
 ``BENCH_engine.json`` at the repo root so the perf trajectory is tracked
 across PRs.
 
@@ -180,9 +180,11 @@ def _measure(network, x, cfg, early_firing: bool) -> dict:
         "speedup_runtime_vs_event": round(event_t / min(serial_t, par_t), 2),
         "speedup_compiled_vs_serial": round(serial_t / comp_t, 2),
         "spikes_per_neuron": round(serial_r.total_spikes / network.total_neurons, 4),
-        # Deterministic: the compiled plan's arena after its runs (CI gates
-        # it at 5% over the committed value).
+        # Deterministic: the compiled plan's arena and its dynamics'
+        # membranes after its runs (CI gates each at 5% over the committed
+        # value).
         "arena_bytes": compiled.workspace.nbytes(),
+        "membrane_bytes": sum(dyn.membrane_nbytes() for dyn in compiled.bound.dynamics),
     }
 
 

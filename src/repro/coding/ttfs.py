@@ -32,10 +32,12 @@ its bucket, making fire-phase cost O(spikes emitted) instead of
 O(population x steps).  The encoder never compares per step.  Firing
 decisions are identical either way; every population also reports
 per-sample quiescence (``row_quiescent``), which powers early exit and
-batch retirement.  A stage's per-step comparison is one pass: a unit it
-fires is parked at ``-inf``.  Under early firing a conv stage's fire
-phase runs channels-last (:class:`TTFSNeurons`): the sparse conv adds
-each step's drive straight into the membrane.
+batch retirement.  A population keeps no fired mask: a stage's per-step
+comparison parks each unit it fires at ``-inf`` in its own membrane (so
+the check is one pass), and a scheduled or drained population is never
+compared again.  Under early firing a conv stage's fire phase runs
+channels-last (:class:`TTFSNeurons`): the sparse conv adds each step's
+drive straight into the membrane.
 
 Every spike time comes from one closed-form routine (:class:`_SpikeTimes`:
 a log-linear estimate and one fix-up against the table, bit-identical to
@@ -46,9 +48,10 @@ tensor gathered straight into a buffer the plan supplies, without
 allocating.  A drained spike's weight is the kernel value at its firing
 offset, so on a strictly decreasing table a run truncated by a compute
 budget can cut a drain back to the spikes it actually reached
-(:func:`_cut`).  Under the engine's layered schedule policy no step
-touches a stage: its one drain integrates the whole window's drive and
-lands the one-shot bias with it, so a stage fires with one call.
+(:func:`_cut`).  A drain takes only an untouched population: the engine's
+layered schedule policy, its one caller, never steps a stage, so the
+stage's one drain integrates the whole window's drive and lands the
+one-shot bias with it, and a stage fires with one call.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ from repro.snn.neurons import (
     ReadoutAccumulator,
     arena_compact,
     arena_view,
-    arena_zeros,
 )
 from repro.snn.schedule import PhasedSchedule, StageWindow, build_phased_schedule
 from repro.utils.arena import FRESH
@@ -213,43 +215,38 @@ class _SpikeTimes:
 def _drain(
     times: _SpikeTimes,
     values: np.ndarray,
-    fired: np.ndarray,
     floor,
-    dt_from: int,
     shape: tuple[int, ...],
     out: np.ndarray | None,
     threshold: float,
     workspace,
 ) -> tuple[SpikePacket | np.ndarray | None, int]:
-    """Fire every unit of ``values`` (``(batch, features)``) that is unfired
-    and at or above ``floor`` at its closed-form offset; latch it fired.
+    """Fire every unit of an untouched population's ``values``
+    (``(batch, features)``) at or above ``floor`` at its closed-form offset.
 
     Returns ``(spikes, count)``.  The spikes leave as a
     :class:`SpikePacket` in row-major order when ``out`` is ``None`` or
     their density is at or below ``threshold`` (the receiver's event-kernel
     decision), otherwise as the dense weighted tensor written into ``out``
-    (``(batch, *shape)``; a strided one is filled through scratch) —
-    bit-identical to the packet's ``to_dense()``.  Scratch comes
-    from the arena ``workspace`` under ``("ttfs.drain", name)`` keys every
-    stage shares (a plan's buffers size themselves to the largest), so
-    with a plan's workspace the dense path allocates nothing.
+    (``(batch, *shape)``, any strides) — bit-identical to the packet's
+    ``to_dense()``.  Scratch comes from the arena ``workspace`` under
+    ``("ttfs.drain", name)`` keys every stage shares (a plan's buffers
+    size themselves to the largest), so with a plan's workspace the dense
+    path allocates nothing.
 
     The dense tensor is the gather ``emitted[dt]`` with no mask multiply: a
     unit below the floor (NaN included) is offset past the table and
-    gathers the zero pad, so only units that fired earlier need zeroing,
-    and only when there are any.
+    gathers the zero pad.
     """
     scratch = workspace.buffer
     mask = scratch(("ttfs.drain", "mask"), values.shape, bool)
     np.greater_equal(values, floor, out=mask)
-    np.greater(mask, fired, out=mask)  # over the floor and not yet fired
     count = int(np.count_nonzero(mask))
     if count == 0:
         return None, 0
     if out is None or count / values.size <= threshold:
         rows, idx = np.divmod(np.flatnonzero(mask), values.shape[1])
-        fire_dt = times.offsets(values[rows, idx], dt_from)
-        fired[rows, idx] = True
+        fire_dt = times.offsets(values[rows, idx])
         packet = SpikePacket(
             rows=rows,
             idx=idx,
@@ -259,22 +256,13 @@ def _drain(
             unique=True,
         )
         return packet, count
-    g = scratch(("ttfs.drain", "g"), values.shape, times.weights.dtype)
     dt = times.offsets(
         values,
-        dt_from,
         out=scratch(("ttfs.drain", "dt"), values.shape, np.intp),
-        g=g,
+        g=scratch(("ttfs.drain", "g"), values.shape, times.weights.dtype),
         cmp=scratch(("ttfs.drain", "cmp"), values.shape, bool),
     )
-    if out.flags.c_contiguous:
-        np.take(times.emitted, dt.reshape(out.shape), out=out, mode="clip")
-    else:  # a strided target: gather into scratch, then copy across
-        np.take(times.emitted, dt, out=g, mode="clip")
-        np.copyto(out, g.reshape(out.shape))
-    if fired.any():
-        np.copyto(out, 0, where=fired.reshape(out.shape))
-    np.logical_or(fired, mask, out=fired)
+    np.take(times.emitted, dt.reshape(out.shape), out=out, mode="clip")
     return out, count
 
 
@@ -405,30 +393,20 @@ class _FireOnce:
     never zero — a zero potential stays silent even where the kernel
     underflows to 0.  Once the potentials are final, :meth:`schedule` turns
     them into a :class:`_FiringSchedule` and every later step is a bucket
-    slice; :meth:`drain` instead emits the whole rest at once.
+    slice; :meth:`drain` instead emits the whole window of a population
+    nothing has fired from yet.
 
-    A ``parked`` population (a stage's: the values are its own membrane)
-    sets every unit it fires by comparison to ``-inf``, so its checks read
-    no fired mask; the ``fired`` mask is still latched for the drains,
-    compaction and diagnostics.  Scheduled and drained spikes are latched
-    without parking: neither population is compared again.  The encoder's
-    pixels are the caller's input and are never written.
+    The population keeps no fired mask.  A per-step comparison
+    (:meth:`fire`, a stage's membrane only) parks every unit it fires at
+    ``-inf``, so no later comparison meets it; a scheduled population is
+    never compared again, and a drained one reports quiescent outright.
+    The encoder only schedules or drains, so the caller's pixels are never
+    written.
     """
 
-    __slots__ = (
-        "weights", "floor", "times", "start", "parked", "fired", "sched", "drained",
-        "shape", "_base",
-    )
+    __slots__ = ("weights", "floor", "times", "start", "sched", "drained", "shape")
 
-    def __init__(
-        self,
-        kernel: ExpKernel,
-        window: int,
-        start: int,
-        theta0: float,
-        dtype,
-        parked: bool = False,
-    ):
+    def __init__(self, kernel: ExpKernel, window: int, start: int, theta0: float, dtype):
         if theta0 <= 0:
             raise ValueError(f"theta0 must be positive, got {theta0}")
         weights = tabulate_kernel(kernel, window, theta0, dtype)
@@ -440,16 +418,12 @@ class _FireOnce:
         self.floor = max(weights[-1], _SMALLEST_POSITIVE)
         self.times = _SpikeTimes(weights)
         self.start = start
-        self.parked = parked
-        self.fired: np.ndarray | None = None
         self.sched: _FiringSchedule | None = None
         self.drained = False
         self.shape: tuple[int, ...] = ()
-        self._base: np.ndarray | None = None
 
     def reset(self, shape: tuple[int, ...]) -> None:
-        """All units of a ``(batch, *population)`` population unfired."""
-        self._base, self.fired = arena_zeros(self._base, shape, bool)
+        """A fresh ``(batch, *population)`` population: nothing fired."""
         self.shape = tuple(shape[1:])
         self.sched = None
         self.drained = False
@@ -458,19 +432,6 @@ class _FireOnce:
     def pending(self) -> bool:
         """Whether the fire window is neither scheduled nor drained yet."""
         return self.sched is None and not self.drained
-
-    def _flat(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = values.shape[0]
-        return values.reshape(n, -1), self.fired.reshape(n, -1)
-
-    def _live(self, values: np.ndarray, threshold) -> np.ndarray:
-        """Mask over ``values`` of the unfired units at or above
-        ``threshold``: one ``>=`` pass where fired units are parked at
-        ``-inf``, else (the encoder) one more pass over the fired mask."""
-        mask = values >= threshold
-        if not self.parked:
-            np.greater(mask, self.fired, out=mask)
-        return mask
 
     def _units(self, hits: np.ndarray, values: np.ndarray, length: int):
         """``(rows, idx)`` of flat ``hits`` into ``values``; with ``length``
@@ -495,7 +456,7 @@ class _FireOnce:
             hits = np.zeros(0, dtype=np.intp)
             dt_from = 0  # no offsets left; the empty schedule is inert
         else:
-            hits = np.flatnonzero(self._live(values, self.floor))
+            hits = np.flatnonzero(values >= self.floor)
         potentials = np.take(values, hits)
         rows, idx = self._units(hits, values, length)
         del hits  # the build below holds several more hit-sized arrays
@@ -504,8 +465,8 @@ class _FireOnce:
         )
 
     def emit(self, t: int) -> SpikePacket | None:
-        """The scheduled spikes of step ``t``, latched fired: a bucket slice —
-        three views, no comparison and no per-step allocation."""
+        """The scheduled spikes of step ``t``: a bucket slice — three views,
+        no comparison and no per-step allocation."""
         dt = t - self.start
         if self.sched is None or not 0 <= dt < len(self.weights):
             return None
@@ -513,12 +474,11 @@ class _FireOnce:
         if bucket is None:
             return None
         rows, idx, weights = bucket
-        self.fired.reshape(self.fired.shape[0], -1)[rows, idx] = True
         return SpikePacket(
             rows=rows,
             idx=idx,
             weights=weights,
-            batch=self.fired.shape[0],
+            batch=len(self.sched.row_last),
             shape=self.shape,
             unique=True,
         )
@@ -527,59 +487,47 @@ class _FireOnce:
         """The spikes of step ``t``: from the schedule once there is one,
         else the units at or above this step's threshold and the floor.
 
-        On a parked population ``values`` is its own C-contiguous
-        membrane with every fired unit at ``-inf``, so the check is one
-        ``>=`` pass and one ``flatnonzero``; the units it fires are parked
-        and latched fired in turn.  With ``length`` (``L``), ``values`` is a conv
-        population's channels-last ``(B, L+1, F)`` storage, whose row ``L``
-        is a ``-inf`` sink: a hit at ``(b, l, f)`` is unit ``f*L + l``, and
-        the packet lists a row's events in ``(position, channel)`` order
-        (the SpikePacket order contract allows any within-row order).
+        ``values`` is a stage's own C-contiguous membrane with every fired
+        unit at ``-inf``, so the check is one ``>=`` pass and one
+        ``flatnonzero``; the units it fires are parked in turn.  With
+        ``length`` (``L``), ``values`` is a conv population's channels-last
+        ``(B, L+1, F)`` storage, whose row ``L`` is a ``-inf`` sink: a hit
+        at ``(b, l, f)`` is unit ``f*L + l``, and the packet lists a row's
+        events in ``(position, channel)`` order (the SpikePacket order
+        contract allows any within-row order).
         """
-        if self.sched is not None or self.drained:
+        if not self.pending:
             return self.emit(t)
         dt = t - self.start
         if not 0 <= dt < len(self.weights):
             return None
         weight = self.weights[dt]
-        hits = np.flatnonzero(self._live(values, max(weight, self.floor)))
+        hits = np.flatnonzero(values >= max(weight, self.floor))
         if hits.shape[0] == 0:
             return None
-        if self.parked:
-            if not values.flags.c_contiguous:
-                raise ValueError("a parked population's values must be C-contiguous")
-            values.reshape(-1)[hits] = -np.inf
+        if not values.flags.c_contiguous:
+            raise ValueError("a stage's membrane must be C-contiguous to park its spikes")
+        values.reshape(-1)[hits] = -np.inf
         rows, idx = self._units(hits, values, length)
-        n = values.shape[0]
-        self.fired.reshape(n, -1)[rows, idx] = True
         return SpikePacket(
             rows=rows,
             idx=idx,
             weights=np.full(hits.shape[0], weight, dtype=self.weights.dtype),
-            batch=n,
+            batch=values.shape[0],
             shape=self.shape,
             unique=True,
         )
 
     def drain(
-        self,
-        values: np.ndarray,
-        t_from: int,
-        out: np.ndarray | None,
-        threshold: float,
-        workspace,
+        self, values: np.ndarray, out: np.ndarray | None, threshold: float, workspace
     ) -> tuple[SpikePacket | np.ndarray | None, int]:
-        """Emit every spike of steps ``t_from`` on at once (:func:`_drain`);
-        the population is spent afterwards."""
+        """Emit the whole fire window of a population nothing has fired from
+        yet at once (:func:`_drain`); the population is spent afterwards."""
+        if not self.pending:
+            raise RuntimeError("a fire-once population drains once, before any emission")
         self.drained = True
-        self.sched = None
-        dt_from = max(t_from - self.start, 0)
-        if dt_from >= len(self.weights):
-            return None, 0
-        flat, fired = self._flat(values)
-        return _drain(
-            self.times, flat, fired, self.floor, dt_from, self.shape, out, threshold, workspace
-        )
+        flat = values.reshape(values.shape[0], -1)
+        return _drain(self.times, flat, self.floor, self.shape, out, threshold, workspace)
 
     def can_drain(self, cut: bool) -> bool:
         """Every table drains; with ``cut``, only one a truncation can cut."""
@@ -598,20 +546,17 @@ class _FireOnce:
         the floor), the row's last bucket passed, or every unit fired or
         sits below the floor (``values`` must be final, and as in
         :meth:`fire`)."""
-        if self.fired is None:
+        if values is None:
             return None
-        n = self.fired.shape[0]
+        n = values.shape[0]
         next_dt = t + 1 - self.start
         if next_dt >= len(self.weights) or self.drained:
             return np.ones(n, dtype=bool)
         if self.sched is not None:
             return self.sched.rows_done(max(next_dt, 0))
-        return ~self._live(values, self.floor).reshape(n, -1).any(axis=1)
+        return ~(values >= self.floor).reshape(n, -1).any(axis=1)
 
     def compact(self, keep: np.ndarray) -> None:
-        if self.fired is None:
-            return
-        self.fired = arena_compact(self._base, self.fired, keep)
         if self.sched is not None:
             self.sched.compact(keep)
 
@@ -684,8 +629,9 @@ class TTFSInputEncoder(InputEncoder):
         policy checks the schedule): TTFS pixels fire at most once, so the event
         positions are unique and the receiver's accumulation is
         bit-identical no matter how the events are grouped over steps.
-        Spikes carry per-event kernel weights and all emitting pixels are
-        latched fired.  They leave as one row-major packet unless ``out``
+        The encoder drains at most once, and never after its first
+        :meth:`step` (``RuntimeError``).  Spikes carry per-event kernel
+        weights.  They leave as one row-major packet unless ``out``
         (``x``-shaped) is given and their density exceeds ``threshold`` —
         the receiver's event-kernel density threshold — in which case
         the dense weighted tensor is written into ``out``; the arena
@@ -693,7 +639,7 @@ class TTFSInputEncoder(InputEncoder):
         """
         if self._x is None:
             raise RuntimeError("reset() must be called before drain_events()")
-        return self._core.drain(self._x, 0, out, threshold, workspace)
+        return self._core.drain(self._x, out, threshold, workspace)
 
     def row_quiescent(self, t: int) -> np.ndarray | None:
         """A sample is exhausted when every pixel either fired or sits below
@@ -716,10 +662,9 @@ class TTFSNeurons(NeuronDynamics):
 
     Fire phase (``[fire_start, fire_end)``): at offset ``dt`` the threshold
     is ``theta0 * kernel(dt)``; neurons at or above it (and above zero)
-    emit one spike of weight ``kernel(dt) * theta0`` and are latched fired.
-    The membrane is the fire-once population (:class:`_FireOnce`) opening
-    at ``fire_start``; a fired unit's potential is parked at ``-inf``.
-    Spikes leave as
+    emit one spike of weight ``kernel(dt) * theta0``.  The membrane is the
+    fire-once population (:class:`_FireOnce`) opening at ``fire_start``; a
+    fired unit's potential is parked at ``-inf``.  Spikes leave as
     :class:`~repro.snn.events.SpikePacket` event lists; once the engine
     reports the stage's input exhausted and the bias has landed, the fire
     phase switches from per-step comparisons to the precomputed firing
@@ -738,7 +683,8 @@ class TTFSNeurons(NeuronDynamics):
 
     :meth:`reset` leaves the membrane unwritten: the first step zero-fills
     it, a drain writes it whole or takes its consumed drive as the
-    membrane, and any other reader zero-fills it first.
+    membrane, and any other reader zero-fills it first.  Only a membrane
+    nothing has written drains (:meth:`drain_fire_events`).
     """
 
     def __init__(
@@ -754,16 +700,12 @@ class TTFSNeurons(NeuronDynamics):
         self.window = window
         self.kernel = kernel
         self.theta0 = theta0
-        self._core = _FireOnce(
-            kernel, window.fire_window, window.fire_start, theta0, dtype, parked=True
-        )
+        self._core = _FireOnce(kernel, window.fire_window, window.fire_start, theta0, dtype)
         # Input exhausted but the potentials not yet scheduled (the one-shot
         # bias had not landed when the engine reported it).
         self._schedule_due = False
-        # No step since reset: the one-shot bias has not landed
-        # (drain_fire_events lands it with the drive).
-        self._fresh = True
-        # Nothing has written the membrane since reset.
+        # Nothing has written the membrane since reset (so no step has run
+        # and the one-shot bias has not landed).
         self._unwritten = True
         # The channels-last storage while in CL mode, and its arena.
         self._cl: np.ndarray | None = None
@@ -777,7 +719,6 @@ class TTFSNeurons(NeuronDynamics):
         self._core.reset((batch_size,) + self.shape)
         self._cl = None
         self._schedule_due = False
-        self._fresh = True
         self._unwritten = True
 
     def _membrane(self) -> np.ndarray:
@@ -848,7 +789,6 @@ class TTFSNeurons(NeuronDynamics):
 
     def step(self, drive: np.ndarray | None, t: int) -> SpikePacket | None:
         u = self._membrane()
-        self._fresh = False
         if drive is not None:
             u += drive
         if t == self.window.integration_start and self._has_bias:
@@ -883,26 +823,25 @@ class TTFSNeurons(NeuronDynamics):
         threshold: float = 1.0,
         workspace=FRESH,
     ) -> tuple[SpikePacket | np.ndarray | None, int]:
-        """Emit every remaining scheduled spike at once; returns
+        """Fire the whole window of an untouched population at once; returns
         ``(spikes, count)``.
 
-        Calling this carries the ``note_input_exhausted`` contract — the
-        caller guarantees no drive arrives after step ``t`` beyond the
-        final ``drive`` delivered here — and requires a settled bias (the
-        potentials are final once ``drive`` is integrated).  On a population
-        no step has touched since reset, ``drive`` is the whole integration
-        window and the one-shot bias lands with it: the engine's layered
-        schedule policy, its only caller, fires a stage with this one call,
-        budgeted or not (the window-phased step loop never drains).
-        Fire-once semantics make the event positions unique, so the
-        receiver's merged drive is bit-identical to per-step bucket
-        delivery; spikes carry per-event kernel weights and are latched
-        fired.
+        ``drive`` is the whole integration window's drive, and the one-shot
+        bias lands with it.  Calling this carries the
+        ``note_input_exhausted`` contract — the caller guarantees no drive
+        arrives after step ``t`` — and needs a settled bias, a membrane
+        nothing has written since :meth:`reset` (no step, no reader, no
+        earlier drain) and ``t`` before the fire window opens; anything
+        else raises ``RuntimeError``.  The engine's layered schedule
+        policy, the only caller, fires a stage with this one call, budgeted
+        or not (the window-phased step loop never drains).  Fire-once
+        semantics make the event positions unique, so the receiver's
+        merged drive is bit-identical to per-step bucket delivery; spikes
+        carry per-event kernel weights.
 
-        On such a population a C-contiguous ``drive`` of the membrane's
-        shape and dtype is consumed: the bias is added into it in place and
-        it is drained as ``u`` (the population's membrane until the next
-        :meth:`reset`).
+        A C-contiguous ``drive`` of the membrane's shape and dtype is
+        consumed: the bias is added into it in place and it is drained as
+        ``u`` (the population's membrane until the next :meth:`reset`).
 
         They leave as one row-major packet unless ``out`` (shaped like the
         population) is given and their density exceeds ``threshold`` — the
@@ -917,44 +856,40 @@ class TTFSNeurons(NeuronDynamics):
             raise RuntimeError("reset() must be called before drain_fire_events()")
         if not self._bias_settled(t):
             raise RuntimeError("drain_fire_events() needs a settled bias")
-        # With no step since reset (the layered schedule policy) the
-        # one-shot bias lands now.
-        bias = self.bias if self._fresh and self._has_bias else None
-        if self._unwritten:
-            # Written whole, in one pass: the drive and the bias together
-            # where the dtypes agree, else a copy or a fill.  drive + bias
-            # is bit-identical to the per-step 0 + bias + drive (signed
-            # zeros aside, which never fire).  A C-contiguous drive of the
-            # membrane's shape and dtype is consumed, so it becomes the
-            # membrane, the bias added in place: the membrane arena is
-            # never touched.
-            if (
-                drive is not None
-                and drive.shape == u.shape
-                and drive.flags.c_contiguous
-                and drive.dtype == u.dtype
-                and (bias is None or getattr(bias, "dtype", None) == u.dtype)
-            ):
-                if bias is not None:
-                    drive += bias
-                self.u = u = drive
-            elif drive is None:
-                np.copyto(u, 0.0 if bias is None else bias)
-            elif bias is None:
-                np.copyto(u, drive)
-            elif drive.dtype == u.dtype == getattr(bias, "dtype", None):
-                np.add(drive, bias, out=u)
-            else:
-                np.copyto(u, bias)
-                u += drive
-            drive = None
-        elif bias is not None:
-            u += bias
-        self._fresh = self._unwritten = False
-        if drive is not None:
+        if not self._unwritten or t >= self.window.fire_start:
+            raise RuntimeError(
+                "drain_fire_events() needs a membrane untouched since reset(), "
+                "before its fire window opens"
+            )
+        bias = self.bias if self._has_bias else None
+        # Written whole, in one pass: the drive and the bias together where
+        # the dtypes agree, else a copy or a fill.  drive + bias is
+        # bit-identical to the per-step 0 + bias + drive (signed zeros
+        # aside, which never fire).  A C-contiguous drive of the membrane's
+        # shape and dtype is consumed, so it becomes the membrane, the bias
+        # added in place: the membrane arena is never touched.
+        if (
+            drive is not None
+            and drive.shape == u.shape
+            and drive.flags.c_contiguous
+            and drive.dtype == u.dtype
+            and (bias is None or getattr(bias, "dtype", None) == u.dtype)
+        ):
+            if bias is not None:
+                drive += bias
+            self.u = u = drive
+        elif drive is None:
+            np.copyto(u, 0.0 if bias is None else bias)
+        elif bias is None:
+            np.copyto(u, drive)
+        elif drive.dtype == u.dtype == getattr(bias, "dtype", None):
+            np.add(drive, bias, out=u)
+        else:
+            np.copyto(u, bias)
             u += drive
+        self._unwritten = False
         self._schedule_due = False
-        return self._core.drain(u, t + 1, out, threshold, workspace)
+        return self._core.drain(u, out, threshold, workspace)
 
     def row_quiescent(self, t: int) -> np.ndarray | None:
         if self.u is None:
@@ -976,12 +911,6 @@ class TTFSNeurons(NeuronDynamics):
         """Bytes of the membrane arenas: NCHW and channels-last."""
         cl = 0 if self._cl_base is None else self._cl_base.nbytes
         return super().membrane_nbytes() + cl
-
-    def spike_fraction(self) -> float:
-        """Fraction of neurons that have fired (sparsity diagnostic)."""
-        if self._core.fired is None:
-            return 0.0
-        return float(self._core.fired.mean())
 
 
 class TTFSCoding(CodingScheme):

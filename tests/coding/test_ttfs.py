@@ -10,6 +10,7 @@ from repro.core.encoding import NO_SPIKE, encode_spike_times
 from repro.core.kernels import TAU_MIN, ExpKernel, KernelParams, tabulate_kernel
 from repro.snn.engine import Simulator
 from repro.snn.events import SpikePacket
+from repro.snn.monitors import FirstSpikeMonitor
 from repro.snn.plan import Workspace
 from repro.snn.schedule import StageWindow
 
@@ -115,23 +116,64 @@ class TestTTFSNeurons:
     @pytest.mark.parametrize("bias", ["scalar", "array"])
     def test_drain_of_an_untouched_population_lands_the_bias(self, rng, dtype, bias):
         """With no step since reset, a drain integrates the whole window and
-        the one-shot bias with it: the same spikes as stepping the bias in."""
+        the one-shot bias with it: the same spikes and potentials as a
+        per-step run that steps the bias in."""
         bias = 0.3 if bias == "scalar" else rng.normal(0.0, 0.3, size=(1, 3)).astype(dtype)
         drive = rng.normal(0.3, 0.5, size=(4, 3)).astype(dtype)
-        results = []
-        for stepped in (True, False):
-            n = TTFSNeurons((3,), bias=bias, window=self.window(), kernel=kernel(), dtype=dtype)
-            n.reset(4)
-            if stepped:
-                n.step(None, 0)
-            spikes, count = n.drain_fire_events(
-                3, drive.copy(), out=np.empty_like(drive), threshold=0.0
-            )
-            results.append((spikes.copy(), count, n.u.copy()))
-        (want, want_count, want_u), (got, got_count, got_u) = results
+        stepper, drained = (
+            TTFSNeurons((3,), bias=bias, window=self.window(), kernel=kernel(), dtype=dtype)
+            for _ in range(2)
+        )
+        stepper.reset(4)
+        stepper.step(drive.copy(), 0)
+        want = np.zeros_like(drive)
+        for t in range(4, 12):
+            if (s := stepper.step(None, t)) is not None:
+                want += s.to_dense()
+        drained.reset(4)
+        got, count = drained.drain_fire_events(
+            3, drive.copy(), out=np.empty_like(drive), threshold=0.0
+        )
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got_u, want_u)
-        assert got_count == want_count > 0
+        assert count == int(np.count_nonzero(want)) > 0
+        parked = np.isneginf(stepper.u)  # the units the steps fired
+        np.testing.assert_array_equal(parked, want != 0)
+        np.testing.assert_array_equal(drained.u[~parked], stepper.u[~parked])
+
+    def test_drain_takes_only_an_untouched_population(self, rng):
+        """A drain after a step, after a membrane reader, at or after the
+        fire window's first step, or after another drain raises."""
+        drive = rng.normal(0.3, 0.5, size=(2, 3, 4, 4))
+
+        def population():
+            n = TTFSNeurons((3, 4, 4), bias=0.5, window=self.window(), kernel=kernel())
+            n.reset(2)
+            return n
+
+        touches = (
+            lambda n: n.step(drive.copy(), 0),
+            lambda n: n.row_quiescent(0),
+            lambda n: n.drive_target(),
+            lambda n: n.drain_fire_events(3, drive.copy()),
+        )
+        for touch in touches:
+            n = population()
+            touch(n)
+            with pytest.raises(RuntimeError, match="untouched"):
+                n.drain_fire_events(3, drive.copy())
+        for t in (4, 7):
+            with pytest.raises(RuntimeError, match="untouched"):
+                population().drain_fire_events(t, drive.copy())
+        assert population().drain_fire_events(3, drive.copy())[1] > 0
+
+    def test_encoder_drains_only_before_its_first_step(self, rng):
+        x = rng.random((2, 5))
+        for touch in (lambda enc: enc.step(0), lambda enc: enc.drain_events()):
+            enc = TTFSInputEncoder(kernel(), window=8)
+            enc.reset(x)
+            touch(enc)
+            with pytest.raises(RuntimeError):
+                enc.drain_events()
 
     def test_late_arrivals_help_unfired_neurons(self):
         """Non-guaranteed integration: late input still drives unfired
@@ -151,14 +193,6 @@ class TestTTFSNeurons:
         # Huge late input cannot elicit a second spike.
         for t in range(5, 12):
             assert n.step(np.array([[10.0]]), t) is None
-
-    def test_spike_fraction(self):
-        n = TTFSNeurons((2,), bias=0.0, window=self.window(), kernel=kernel())
-        n.reset(1)
-        n.step(np.array([[2.0, 0.0]]), 0)
-        for t in range(4, 12):
-            n.step(None, t)
-        assert n.spike_fraction() == 0.5
 
     def test_first_step_and_readers_zero_an_unwritten_membrane(self):
         """reset() leaves the membrane unwritten (here: NaN, standing for
@@ -230,31 +264,22 @@ class TestBulkDrains:
         assert count == dense_count == packet.count == int(np.count_nonzero(reference))
         np.testing.assert_array_equal(out, packet.to_dense())
         np.testing.assert_array_equal(out, reference)
-        np.testing.assert_array_equal(packed._core.fired, dense._core.fired)
 
-    @pytest.mark.parametrize("t", [7, 12])  # before the fire phase / mid-way
-    def test_neuron_dense_drain_matches_packet_and_steps(self, rng, t):
+    def test_neuron_dense_drain_matches_packet_and_steps(self, rng):
         drive = rng.normal(0.3, 0.5, size=(5, 3, 4, 4))
-        t_from = max(t + 1, self.WINDOW.fire_start)
         reference = self.stepped(drive)
         results = []
         for out in (None, np.full(drive.shape, np.nan)):
             n = self.population()
             n.reset(drive.shape[0])
-            n.step(drive, 0)
-            emitted = np.zeros(drive.shape)
-            for step in range(self.WINDOW.fire_start, t_from):
-                s = n.step(None, step)  # per-step firing up to the drain point
-                if s is not None:
-                    emitted += s.to_dense()
-            spikes, count = n.drain_fire_events(t, out=out, threshold=0.0, workspace=Workspace())
+            spikes, count = n.drain_fire_events(
+                7, drive.copy(), out=out, threshold=0.0, workspace=Workspace()
+            )
             dense = spikes if out is not None else spikes.to_dense()
             assert count == int(np.count_nonzero(dense))
-            np.testing.assert_array_equal(emitted + dense, reference)
-            results.append((dense, n._core.fired.copy()))
-        (packet_dense, packet_fired), (dense, fired) = results
-        np.testing.assert_array_equal(dense, packet_dense)
-        np.testing.assert_array_equal(fired, packet_fired)
+            np.testing.assert_array_equal(dense, reference)
+            results.append(dense)
+        np.testing.assert_array_equal(*results)
 
     def test_dense_drain_writes_a_strided_output(self, rng):
         """The drain may write into a conv's transposed GEMM output view."""
@@ -444,9 +469,13 @@ class TestZeroPotentials:
         assert tabulate_kernel(k, self.WINDOW.fire_window)[-1] == 0.0
         return k
 
-    def neurons(self):
+    def untouched(self):
         n = TTFSNeurons((2,), bias=0.0, window=self.WINDOW, kernel=self.k())
         n.reset(2)
+        return n
+
+    def neurons(self):
+        n = self.untouched()
         assert n.step(self.X.copy(), 0) is None
         return n
 
@@ -475,7 +504,9 @@ class TestZeroPotentials:
     @pytest.mark.parametrize("threshold", [1.0, 0.0], ids=["packet", "dense"])
     def test_drains_count_only_positive_potentials(self, threshold):
         out = np.full(self.X.shape, np.nan)
-        drained = self.neurons().drain_fire_events(3, out=out.copy(), threshold=threshold)
+        drained = self.untouched().drain_fire_events(
+            3, self.X.copy(), out=out.copy(), threshold=threshold
+        )
         encoded = self.encoder().drain_events(out=out.copy(), threshold=threshold)
         expected = np.array([[0.0, 1.0], [0.0, 0.0]])
         for spikes, count in (drained, encoded):
@@ -519,7 +550,6 @@ class TestNaNPotentials:
             assert count == 3
             dense = spikes.to_dense() if isinstance(spikes, SpikePacket) else spikes
             np.testing.assert_array_equal(dense, reference)
-        assert not encoder._core.fired[0, 1]
 
 
 @st.composite
@@ -549,8 +579,7 @@ def ttfs_populations(draw):
     )
     x = np.asarray(values, dtype=np.float64).reshape(batch, features).astype(dtype)
     fire_start = draw(st.integers(0, 4))
-    drained_after = draw(st.integers(0, window))
-    return k, window, fire_start, x, dtype, drained_after
+    return k, window, fire_start, x, dtype
 
 
 class TestEncoderIsANeuronPopulation:
@@ -585,7 +614,7 @@ class TestEncoderIsANeuronPopulation:
     @settings(max_examples=150, deadline=None)
     @given(ttfs_populations())
     def test_per_step_and_scheduled_emissions_match(self, case):
-        k, window, fire_start, x, dtype, _ = case
+        k, window, fire_start, x, dtype = case
         enc, n = self.pair(k, window, fire_start, x, dtype)
         _, scheduled = self.pair(k, window, fire_start, x, dtype)
         for t in range(fire_start + window):
@@ -607,19 +636,14 @@ class TestEncoderIsANeuronPopulation:
     @settings(max_examples=150, deadline=None)
     @given(ttfs_populations(), st.sampled_from([1.0, 0.0]))
     def test_drains_and_cuts_match(self, case, threshold):
-        """Both fire ``after`` steps, then drain the rest in the form
-        ``threshold`` picks; the drains and every cut of them agree."""
-        k, window, fire_start, x, dtype, after = case
+        """Both drain their whole window in the form ``threshold`` picks;
+        the drains, the silent steps after them and every cut agree."""
+        k, window, fire_start, x, dtype = case
         enc, n = self.pair(k, window, fire_start, x, dtype)
         assert enc.can_drain(cut=True) == n.can_drain(cut=True)
-        for t in range(fire_start + after):
-            stepped = n.step(x.copy() if t == 0 else None, t)
-            if t >= fire_start:
-                assert same_packets(enc.step(t - fire_start), stepped)
-        drive = x.copy() if fire_start + after == 0 else None
         drained = n.drain_fire_events(
-            fire_start + after - 1,
-            drive,
+            fire_start - 1,
+            x.copy(),
             out=np.full(x.shape, np.nan, dtype=dtype),
             threshold=threshold,
             workspace=Workspace(),
@@ -628,7 +652,7 @@ class TestEncoderIsANeuronPopulation:
             out=np.full(x.shape, np.nan, dtype=dtype), threshold=threshold, workspace=Workspace()
         )
         self.assert_same_spikes(encoded, drained)
-        for t in range(after, window):
+        for t in range(window):
             assert enc.step(t) is None and n.step(None, fire_start + t) is None
             np.testing.assert_array_equal(n.row_quiescent(fire_start + t), enc.row_quiescent(t))
         for steps in range(-1, window + 2):
@@ -639,6 +663,16 @@ class TestEncoderIsANeuronPopulation:
 
 
 class TestTTFSCodingScheme:
+    def test_first_spike_monitor_gives_the_spike_fraction(self, tiny_network, tiny_data):
+        x = tiny_data[2][:20]
+        spiking = [s for s in tiny_network.stages if s.spiking]
+        monitors = [FirstSpikeMonitor(i) for i in range(len(spiking))]
+        result = Simulator(tiny_network, TTFSCoding(window=12), monitors=monitors).run(x)
+        for stage, monitor in zip(spiking, monitors):
+            neurons = int(np.prod(stage.out_shape))
+            assert monitor.spike_fraction() == result.spike_counts[stage.name] / neurons
+            assert monitor.spike_fraction() > 0
+
     def test_one_spike_per_neuron_network_wide(self, tiny_network, tiny_data):
         scheme = TTFSCoding(window=12)
         result = Simulator(tiny_network, scheme).run(tiny_data[2][:20])
